@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "dock/dock.h"
 #include "dock/ligand_gen.h"
 #include "dock/vina_score.h"
@@ -396,6 +399,58 @@ TEST(Dock, CompactReceptorBindsBetterThanExtended) {
   const DockingResult rf = dock(folded, lig, params);
   const DockingResult re = dock(extended, lig, params);
   EXPECT_LT(rf.best_affinity, re.best_affinity);
+}
+
+
+// --- bit-exact goldens ---------------------------------------------------------
+//
+// Docking is deterministic per seed down to the last bit, and the scoring
+// kernel is an optimisation target: these goldens pin the IEEE-754 bit
+// patterns of a fixed docking and a fixed imprint.  Any change that moves a
+// single addend or reorders a sum shows up here.
+
+std::string hex_u64(std::uint64_t b) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(b));
+  return buf;
+}
+
+std::string hex_bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return hex_u64(b);
+}
+
+TEST(DockGolden, FixedReceptorLigandSeedIsBitStable) {
+  const Structure rec = test_receptor();
+  const Ligand lig = generate_ligand("2bok");
+  DockingParams params;
+  params.num_runs = 4;
+  params.mc_steps = 300;
+  params.top_poses = 5;
+  params.seed = 11;
+  const DockingResult r = dock(rec, lig, params);
+  EXPECT_EQ(hex_bits(r.best_affinity), "c005121772a8fbd1");
+  EXPECT_EQ(hex_bits(r.mean_affinity), "c0016be4be5ffc70");
+  EXPECT_EQ(hex_bits(r.rmsd_lb_mean), "400ebd8c7593d91f");
+  EXPECT_EQ(hex_bits(r.rmsd_ub_mean), "400ef9a782bae2a0");
+  std::vector<std::string> top;
+  for (const ScoredPose& sp : r.poses) top.push_back(hex_bits(sp.affinity));
+  const std::vector<std::string> expected_top = {"c005121772a8fbd1", "c0023d31d2252034",
+                                                "c001d0c11ecfcb31", "c001b601e0f1a1b5",
+                                                "c0015a2d30ddcff9"};
+  EXPECT_EQ(top, expected_top);
+}
+
+TEST(DockGolden, ImprintedLigandIsBitStable) {
+  const Structure rec = test_receptor();
+  const Ligand lig = imprint_ligand(generate_ligand("2bok"), rec);
+  std::string bytes;
+  for (const LigandAtom& a : lig.atoms()) {
+    bytes += a.element;
+    bytes += hex_bits(a.local_pos.x) + hex_bits(a.local_pos.y) + hex_bits(a.local_pos.z);
+  }
+  EXPECT_EQ(hex_u64(fnv1a(bytes)), "d134a145e307ec3f");
 }
 
 }  // namespace
