@@ -80,18 +80,17 @@ RunOutput run_search(const ReceptorGrid& grid, const Ligand& ligand, const Box& 
   span.set_attr("run", std::to_string(run_index));
   Rng rng(params.seed + static_cast<std::uint64_t>(run_index) * 0x9e3779b9ULL);
 
-  auto score = [&](const Pose& p) {
-    return affinity_from_energy(
-        intermolecular_energy(grid, ligand, ligand.conformation(p), params.weights),
-        ligand.num_torsions(), params.weights);
-  };
+  PoseScorer scorer(grid, ligand, params.weights);
 
   // Pattern-search local optimisation over the pose coordinates
   // (translation, orientation, torsions) with a shrinking step — the local
-  // polish Vina performs after every mutation (its BFGS stage).
+  // polish Vina performs after every mutation (its BFGS stage).  The scorer's
+  // reference follows the incumbent, so a torsion candidate recomputes only
+  // the chain tail it moves.
   auto local_optimize = [&](Pose p, double e, int sweeps) {
     double step_t = 0.6;   // Angstrom
     double step_r = 0.25;  // radians
+    scorer.commit();
     for (int sweep = 0; sweep < sweeps; ++sweep) {
       bool improved = false;
       auto try_pose = [&](Pose cand) {
@@ -99,8 +98,9 @@ RunOutput run_search(const ReceptorGrid& grid, const Ligand& ligand, const Box& 
         cand.translation.x = std::clamp(cand.translation.x, box.lo.x, box.hi.x);
         cand.translation.y = std::clamp(cand.translation.y, box.lo.y, box.hi.y);
         cand.translation.z = std::clamp(cand.translation.z, box.lo.z, box.hi.z);
-        const double ce = score(cand);
+        const double ce = scorer.score(cand);
         if (ce < e - 1e-9) {
+          scorer.commit();
           e = ce;
           p = std::move(cand);
           improved = true;
@@ -146,7 +146,7 @@ RunOutput run_search(const ReceptorGrid& grid, const Ligand& ligand, const Box& 
   const bool near_rest = (run_index % 2 == 0);
 
   Pose current = random_pose(box, ligand.num_torsions(), rng, near_rest);
-  double current_e = score(current);
+  double current_e = scorer.score(current);
   std::tie(current, current_e) = local_optimize(current, current_e, 4);
 
   std::vector<ScoredPose> pool;
@@ -159,7 +159,7 @@ RunOutput run_search(const ReceptorGrid& grid, const Ligand& ligand, const Box& 
     const bool jump = rng.bernoulli(0.15);  // occasional restarts
     Pose cand = jump ? random_pose(box, ligand.num_torsions(), rng, near_rest)
                      : perturb(current, box, 1.2, rng);
-    double cand_e = score(cand);
+    double cand_e = scorer.score(cand);
     std::tie(cand, cand_e) = local_optimize(std::move(cand), cand_e, 4);
     const double delta = cand_e - current_e;
     if (delta <= 0.0 || rng.uniform() < std::exp(-delta / params.temperature)) {
@@ -195,6 +195,12 @@ RunOutput run_search(const ReceptorGrid& grid, const Ligand& ligand, const Box& 
     out.top.push_back(sp);
     kept_coords.push_back(coords);
   }
+
+  // Tallied per run, published once: nothing atomic per scored atom.
+  static obs::Counter& atoms_computed = obs::counter("dock.atom_terms.computed");
+  static obs::Counter& atoms_reused = obs::counter("dock.atom_terms.reused");
+  atoms_computed.add(scorer.atoms_computed());
+  atoms_reused.add(scorer.atoms_reused());
   return out;
 }
 

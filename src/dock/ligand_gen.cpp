@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "dock/dock.h"
-#include "obs/log.h"
 
 namespace qdb {
 
@@ -191,23 +189,17 @@ ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& r
     }
   }
 
-  // Per-atom Vina field against the receptor.
+  // Per-atom Vina field against the receptor: every receptor atom in index
+  // order, each pair's sub-terms added straight into the atom's running sum.
+  const VinaWeights weights;
   auto atom_field = [&](const Vec3& p, const LigandAtom& a) {
     double e = 0.0;
     const double lr = vdw_radius(a.element);
     for (const ReceptorAtom& ra : receptor_atoms) {
       const double d = p.distance(ra.pos);
       if (d > 8.0) continue;
-      const double ds = d - lr - vdw_radius(ra.element);
-      const VinaWeights w;
-      e += w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
-      const double g2 = (ds - 3.0) / 2.0;
-      e += w.gauss2 * std::exp(-g2 * g2);
-      if (ds < 0.0) e += w.repulsion * ds * ds;
-      if (a.hydrophobic && ra.hydrophobic && ds < 1.5)
-        e += w.hydrophobic * (ds <= 0.5 ? 1.0 : (1.5 - ds));
-      const bool hb = (a.donor && ra.acceptor) || (a.acceptor && ra.donor);
-      if (hb && ds < 0.0) e += w.hbond * (ds <= -0.7 ? 1.0 : -ds / 0.7);
+      add_pair_term(e, d - lr - vdw_radius(ra.element), a.hydrophobic && ra.hydrophobic,
+                    (a.donor && ra.acceptor) || (a.acceptor && ra.donor), weights);
     }
     return e;
   };
@@ -245,33 +237,6 @@ ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& r
     atoms[i].local_pos = r_inv * (world[i] - pose.translation);
   }
   Ligand imprinted(std::move(atoms), generic.torsions(), generic.name() + "-imprinted");
-
-  if (std::getenv("QDB_DEBUG_IMPRINT") != nullptr) {
-    // Diagnostic: the score at the exact imprint pose.  The constructor
-    // re-centres local coordinates by the heavy-atom centroid c, so the
-    // imprint pose of the final ligand is (R, t + R c).
-    Vec3 c;
-    int heavy = 0;
-    for (std::size_t i = 0; i < imprinted.atoms().size(); ++i) {
-      const Mat3 r_mat = pose.orientation.to_matrix();
-      (void)r_mat;
-      if (generic.atoms()[i].element != 'H') ++heavy;
-    }
-    (void)c;
-    Pose at_imprint = imprinted.neutral_pose();
-    // Solve for the translation that maps atom 0 back onto world[0].
-    const Mat3 r_mat = pose.orientation.to_matrix();
-    at_imprint.orientation = pose.orientation;
-    at_imprint.translation = world[0] - r_mat * imprinted.atoms()[0].local_pos;
-    const ReceptorGrid dbg_grid(type_receptor(reference), 8.0);
-    const double e = affinity_from_energy(
-        intermolecular_energy(dbg_grid, imprinted, imprinted.conformation(at_imprint)),
-        imprinted.num_torsions());
-    obs::log_debug("dock.imprint")
-        .kv("ligand", imprinted.name())
-        .kv("score", e)
-        .kv("hbond_pairs", hbond_pairs.size());
-  }
 
   Vec3 site;
   for (const Vec3& p : world) site += p;

@@ -16,54 +16,25 @@ namespace {
 
 constexpr double kCutoff = 8.0;  // Vina scoring cutoff, matches vina_score
 
-/// Linear slope that is 1 below `good`, 0 above `bad` — byte-for-byte the
-/// slope_step of vina_score.cpp (replicated because node exactness needs the
-/// identical arithmetic, and the original is file-local).
-double slope_step(double x, double good, double bad) {
-  if (x <= good) return 1.0;
-  if (x >= bad) return 0.0;
-  return (bad - x) / (bad - good);
+/// The ligand atom each probe channel stands for.
+std::array<LigandAtom, kNumProbes> probe_atoms() {
+  std::array<LigandAtom, kNumProbes> probes;
+  probes[0].element = 'C';  // Probe::Carbon
+  probes[0].hydrophobic = true;
+  probes[1].element = 'N';  // Probe::Nitrogen
+  probes[1].donor = true;
+  probes[2].element = 'O';  // Probe::Oxygen
+  probes[2].acceptor = true;
+  return probes;
 }
 
-struct ProbeAtom {
-  char element;
-  bool hydrophobic;
-  bool donor;
-  bool acceptor;
-};
-
-constexpr ProbeAtom kProbes[kNumProbes] = {
-    {'C', true, false, false},   // Probe::Carbon
-    {'N', false, true, false},   // Probe::Nitrogen
-    {'O', false, false, true},   // Probe::Oxygen
-};
-
-/// Vina intermolecular energy of a single probe atom at `lp`.  This loop is
-/// a transliteration of intermolecular_energy()'s inner loop: same neighbour
-/// walk, same pair order, same expression order — the node-exactness
-/// contract of the class rests on the two accumulating identically.
+/// Vina intermolecular energy of a single probe atom at `lp`: the per-atom
+/// term routine intermolecular_energy sums, so the pair order and arithmetic
+/// are the same by construction — the node-exactness contract of the class.
 double probe_point_energy(const qdb::ReceptorGrid& rec, const Vec3& lp,
-                          const ProbeAtom& probe, const VinaWeights& w) {
-  const double cutoff2 = rec.cutoff() * rec.cutoff();
-  const auto& ratoms = rec.atoms();
-  const double lr = vdw_radius(probe.element);
+                          const LigandAtom& probe, const VinaWeights& w) {
   double total = 0.0;
-  rec.for_neighbors(lp, [&](int ri) {
-    const ReceptorAtom& ra = ratoms[static_cast<std::size_t>(ri)];
-    const double d2 = lp.distance2(ra.pos);
-    if (d2 > cutoff2) return;
-    const double d = std::sqrt(d2);
-    const double ds = d - lr - vdw_radius(ra.element);
-
-    double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
-    const double g2 = (ds - 3.0) / 2.0;
-    e += w.gauss2 * std::exp(-g2 * g2);
-    if (ds < 0.0) e += w.repulsion * ds * ds;
-    if (probe.hydrophobic && ra.hydrophobic) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
-    const bool hb = (probe.donor && ra.acceptor) || (probe.acceptor && ra.donor);
-    if (hb) e += w.hbond * slope_step(ds, -0.7, 0.0);
-    total += e;
-  });
+  rec.for_pair_terms(lp, probe, w, [&](double e) { total += e; });
   return total;
 }
 
@@ -149,6 +120,7 @@ ReceptorGrid::ReceptorGrid(const Structure& receptor, const GridParams& params) 
   // Disjoint writes per node: the built grid is identical for every thread
   // count and backend.
   static obs::Counter& node_evals = obs::counter("screen.grid.node_evals");
+  const auto probes = probe_atoms();
   parallel_for_threads(nodes, params.threads, [&](std::int64_t n) {
     const std::int64_t i = n / (spec_.ny * spec_.nz);
     const std::int64_t j = (n / spec_.nz) % spec_.ny;
@@ -156,7 +128,7 @@ ReceptorGrid::ReceptorGrid(const Structure& receptor, const GridParams& params) 
     const Vec3 p = node_pos(i, j, k);
     for (int probe = 0; probe < kNumProbes; ++probe) {
       values_[static_cast<std::size_t>(probe)][static_cast<std::size_t>(n)] =
-          probe_point_energy(rec, p, kProbes[probe], weights_);
+          probe_point_energy(rec, p, probes[static_cast<std::size_t>(probe)], weights_);
     }
   });
   node_evals.add(static_cast<std::uint64_t>(nodes) * kNumProbes);

@@ -12,9 +12,9 @@
 // Exactness contract (tested in test_screen.cpp):
 //   - At a grid NODE, the interpolated value for a probe equals
 //     `intermolecular_energy` of a single-atom ligand of that probe type at
-//     the node position, bit for bit.  Node channels are accumulated in the
-//     exact pair order intermolecular_energy uses (same spatial-hash
-//     neighbour grid, same arithmetic), node coordinates are exact multiples
+//     the node position, bit for bit.  Node channels are summed by the same
+//     per-atom term routine intermolecular_energy uses (same cell-list walk
+//     order, same pair arithmetic), node coordinates are exact multiples
 //     of the spacing (the origin is snapped to the lattice), and the
 //     interpolation weights degenerate to exactly 0/1 at nodes.
 //   - Between nodes the filter is an approximation; published affinities

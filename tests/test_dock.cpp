@@ -5,15 +5,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "dock/dock.h"
 #include "dock/ligand_gen.h"
 #include "dock/vina_score.h"
 #include "lattice/lattice.h"
 #include "lattice/solver.h"
+#include "obs/metrics.h"
 #include "structure/protonate.h"
 #include "structure/reconstruct.h"
 
@@ -453,5 +456,139 @@ TEST(DockGolden, ImprintedLigandIsBitStable) {
   EXPECT_EQ(hex_u64(fnv1a(bytes)), "d134a145e307ec3f");
 }
 
+
+// --- incremental scoring -------------------------------------------------------
+
+TEST(PoseScorer, EveryScoreIsBitEqualToTheOneShotScore) {
+  // A seeded walk over the candidate kinds the docking search proposes —
+  // translation-only, rotation-only, single-torsion and restart — with
+  // commit, no-commit and double-commit steps.  The double commit matters:
+  // a scorer that swaps term lists on every commit would hand back the
+  // stale ones on the second.
+  const Structure rec = test_receptor();
+  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const Ligand lig = generate_ligand("2bok");
+  ASSERT_GT(lig.num_torsions(), 0);
+  const VinaWeights w;
+  auto one_shot = [&](const Pose& p) {
+    return affinity_from_energy(intermolecular_energy(grid, lig, lig.conformation(p), w),
+                                lig.num_torsions(), w);
+  };
+  Rng rng(2024);
+  auto restart = [&] {
+    Pose p = lig.neutral_pose();
+    p.translation = Vec3{rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5)};
+    p.orientation = Quat::random(rng.uniform(), rng.uniform(), rng.uniform());
+    for (double& t : p.torsions) t = rng.uniform(-kPi, kPi);
+    return p;
+  };
+  std::size_t heavy = 0;
+  for (const LigandAtom& a : lig.atoms()) heavy += (a.element != 'H');
+
+  PoseScorer scorer(grid, lig, w);
+  Pose reference = restart();
+  EXPECT_EQ(hex_bits(scorer.score(reference)), hex_bits(one_shot(reference)));
+  scorer.commit();
+  int commits = 0, double_commits = 0, torsion_moves = 0;
+  for (int step = 0; step < 400; ++step) {
+    Pose cand = reference;
+    const std::uint64_t kind = rng.below(4);
+    std::size_t moved_bound = heavy;
+    if (kind == 0) {
+      cand.translation += Vec3{rng.normal(0.0, 0.5), rng.normal(0.0, 0.5), rng.normal(0.0, 0.5)};
+    } else if (kind == 1) {
+      const Vec3 axis{rng.normal(), rng.normal(), rng.normal()};
+      cand.orientation =
+          (Quat::from_axis_angle(axis, rng.normal(0.0, 0.3)) * cand.orientation).normalized();
+    } else if (kind == 2) {
+      const std::size_t t = rng.below(cand.torsions.size());
+      cand.torsions[t] += rng.normal(0.0, 0.6);
+      moved_bound = lig.torsions()[t].moved.size();
+      ++torsion_moves;
+    } else {
+      cand = restart();
+    }
+    const std::uint64_t computed_before = scorer.atoms_computed();
+    ASSERT_EQ(hex_bits(scorer.score(cand)), hex_bits(one_shot(cand))) << "step " << step;
+    // Only atoms that moved against the reference are recomputed.
+    EXPECT_LE(scorer.atoms_computed() - computed_before, moved_bound) << "step " << step;
+
+    const std::uint64_t action = rng.below(3);
+    if (action >= 1) {
+      scorer.commit();
+      reference = cand;
+      ++commits;
+    }
+    if (action == 2) {
+      scorer.commit();
+      ++double_commits;
+    }
+    if (step % 25 == 0) {
+      // The reference itself rescoring reuses every heavy atom.
+      const std::uint64_t before = scorer.atoms_computed();
+      ASSERT_EQ(hex_bits(scorer.score(reference)), hex_bits(one_shot(reference)));
+      EXPECT_EQ(scorer.atoms_computed(), before);
+    }
+  }
+  EXPECT_GT(commits, 50);
+  EXPECT_GT(double_commits, 20);
+  EXPECT_GT(torsion_moves, 50);
+  EXPECT_GT(scorer.atoms_reused(), 0u);
+}
+
+TEST(PoseScorer, CountersReachTheRegistryScrape) {
+  auto& registry = obs::MetricRegistry::global();
+  const std::uint64_t computed_before = obs::counter("dock.atom_terms.computed").value();
+  const std::uint64_t reused_before = obs::counter("dock.atom_terms.reused").value();
+  DockingParams params;
+  params.num_runs = 2;
+  params.mc_steps = 100;
+  params.seed = 4;
+  dock(test_receptor("VKDRS"), generate_ligand("3ckz"), params);
+  EXPECT_GT(obs::counter("dock.atom_terms.computed").value(), computed_before);
+  EXPECT_GT(obs::counter("dock.atom_terms.reused").value(), reused_before);
+  const Json counters = registry.to_json().at("counters");
+  EXPECT_TRUE(counters.contains("dock.atom_terms.computed"));
+  EXPECT_TRUE(counters.contains("dock.atom_terms.reused"));
+  const std::string prom = registry.to_prometheus();
+  EXPECT_NE(prom.find("# TYPE qdb_dock_atom_terms_computed counter"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE qdb_dock_atom_terms_reused counter"), std::string::npos);
+}
+
+// --- receptor cell list robustness ------------------------------------------
+
+TEST(ReceptorGridRobustness, FarAndNonFiniteProbesVisitNothing) {
+  const Structure rec = test_receptor("PWWERYQP");
+  const auto typed = type_receptor(rec);
+  const ReceptorGrid grid(typed, 8.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Vec3 anchor = typed.front().pos;
+  const std::vector<Vec3> probes = {
+      {1e6, 0, 0},
+      {0, -1e6, 0},
+      {0, 0, 1e300},
+      // One full turn of a 21-bit cell key away from a real atom: a masked
+      // hash key would alias this onto the atom's cell.
+      anchor + Vec3{8.0 * static_cast<double>(1 << 21), 0, 0},
+      {nan, 0, 0},
+      {0, nan, 0},
+      {0, 0, nan},
+      {inf, 0, 0},
+      {0, -inf, 0},
+  };
+  const Ligand atom = two_atom_probe();
+  for (const Vec3& p : probes) {
+    int visited = 0;
+    grid.for_neighbors(p, [&](int) { ++visited; });
+    EXPECT_EQ(visited, 0) << p.x << " " << p.y << " " << p.z;
+    // Both atoms of the probe sit on the same far point.
+    EXPECT_EQ(intermolecular_energy(grid, atom, {p, p}), 0.0) << p.x << " " << p.y << " " << p.z;
+  }
+  // A receptor atom with a non-finite coordinate is rejected up front.
+  std::vector<ReceptorAtom> bad = typed;
+  bad[1].pos.y = nan;
+  EXPECT_THROW(ReceptorGrid(bad, 8.0), PreconditionError);
+}
 }  // namespace
 }  // namespace qdb
