@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -10,7 +11,9 @@
 #include <fstream>
 #include <sstream>
 
-#if !defined(_WIN32)
+#if defined(_WIN32)
+#include <process.h>
+#else
 #include <fcntl.h>
 #include <unistd.h>
 #endif
@@ -380,6 +383,24 @@ void ensure_parent_directories(const std::filesystem::path& p) {
   }
 }
 
+/// A temp name no other writer shares: pid plus a process-wide sequence, so
+/// concurrent writers of one path (threads or processes) each fill and
+/// rename their own file instead of truncating each other's.
+std::string unique_temp_path(const std::string& path) {
+  static std::atomic<std::uint64_t> seq{0};
+#if defined(_WIN32)
+  const long pid = _getpid();
+#else
+  const long pid = ::getpid();
+#endif
+  std::string tmp = path;
+  tmp += ".tmp.";
+  tmp += std::to_string(pid);
+  tmp += '.';
+  tmp += std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
+  return tmp;
+}
+
 }  // namespace
 
 void write_file(const std::string& path, const std::string& contents) {
@@ -394,7 +415,7 @@ void write_file(const std::string& path, const std::string& contents) {
 void write_file_atomic(const std::string& path, const std::string& contents) {
   fault_site("io.write");
   ensure_parent_directories(std::filesystem::path(path));
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = unique_temp_path(path);
 #if defined(_WIN32)
   // No fsync portability on Windows; fall back to write + rename.
   {

@@ -89,8 +89,9 @@ class Json {
 /// Write text to a file, creating parent directories; throws qdb::IoError.
 void write_file(const std::string& path, const std::string& contents);
 
-/// Crash-consistent write: the contents land in `path + ".tmp"`, are fsynced,
-/// and are then renamed over `path` (with a best-effort directory fsync).
+/// Crash-consistent write: the contents land in a temp file named
+/// `path + ".tmp.<pid>.<seq>"`, unique to this call, are fsynced, and are
+/// then renamed over `path` (with a best-effort directory fsync).
 /// Readers therefore see either the complete old file or the complete new
 /// file, never a torn write — the guarantee the batch checkpoint and the
 /// dataset entry files rely on.  Throws qdb::IoError on any failure; on

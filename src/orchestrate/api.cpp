@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/error.h"
-#include "common/strings.h"
 #include "data/checkpoint.h"
 #include "obs/trace.h"
 
@@ -12,23 +11,23 @@ namespace qdb::orchestrate {
 
 namespace {
 
-serve::HttpResponse json_response(int status, const Json& body) {
-  serve::HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
+using serve::error_response;
+using serve::json_response;
 
-serve::HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  return json_response(status, body);
-}
-
-serve::HttpResponse method_not_allowed(const char* allow) {
-  serve::HttpResponse resp = error_response(405, std::string("use ") + allow);
-  resp.extra_headers.emplace_back("Allow", allow);
-  return resp;
+/// Wraps a job handler: a malformed body (bad JSON, a missing or mistyped
+/// field) is the client's fault and answers 400.
+serve::RouteHandler bad_body_is_400(serve::RouteHandler handler) {
+  return [handler = std::move(handler)](const serve::RouteRequest& request) {
+    try {
+      return handler(request);
+    } catch (const ParseError& ex) {
+      return error_response(400, std::string("bad request body: ") + ex.what());
+    } catch (const IoError& ex) {
+      return error_response(400, std::string("bad request body: ") + ex.what());
+    } catch (const Error& ex) {
+      return error_response(400, ex.what());
+    }
+  };
 }
 
 const char* lease_state_name(LeaseGrant::State s) {
@@ -132,69 +131,39 @@ CompleteResult complete_result_from_json(const Json& doc) {
 }
 
 void attach_job_api(serve::DatasetServer& server, Coordinator& coordinator) {
-  server.set_route("/jobs", [&coordinator](const serve::HttpRequest& request,
-                                           const std::string& body) {
-    const std::string_view path = request.path;
-    try {
-      if (path == "/jobs/status") {
-        if (request.method != "GET") return method_not_allowed("GET");
-        if (!request.query.empty()) {
-          return error_response(400, "status takes no parameters");
-        }
-        return json_response(200, coordinator.status_json());
-      }
-      if (path == "/jobs/lease") {
-        if (request.method != "POST") return method_not_allowed("POST");
-        const Json doc = Json::parse(body);
-        const std::string worker = doc.at("worker").as_string();
-        return json_response(200, lease_grant_json(coordinator.lease(worker)));
-      }
-      // /jobs/{pdb_id}/heartbeat | /jobs/{pdb_id}/complete
-      if (starts_with(path, "/jobs/")) {
-        const std::string_view rest = path.substr(6);
-        const std::size_t slash = rest.find('/');
-        if (slash != std::string_view::npos && slash > 0) {
-          const std::string pdb_id(rest.substr(0, slash));
-          const std::string_view action = rest.substr(slash + 1);
-          if (action == "heartbeat") {
-            if (request.method != "POST") return method_not_allowed("POST");
-            const Json doc = Json::parse(body);
-            const auto token =
-                static_cast<std::uint64_t>(doc.at("lease_token").as_int());
-            const HeartbeatResult result = coordinator.heartbeat(pdb_id, token);
-            return json_response(result.ok ? 200 : 409,
-                                 heartbeat_result_json(result));
-          }
-          if (action == "complete") {
-            if (request.method != "POST") return method_not_allowed("POST");
-            const Json doc = Json::parse(body);
-            const auto token =
-                static_cast<std::uint64_t>(doc.at("lease_token").as_int());
-            const BatchJobRecord record =
-                batch_job_record_from_json(doc.at("record"));
-            try {
-              const CompleteResult result =
-                  coordinator.complete(pdb_id, token, record);
-              return json_response(200, complete_result_json(result));
-            } catch (const Error& ex) {
-              // Unknown job / mismatched record identity.
-              const std::string what = ex.what();
-              return error_response(
-                  what.find("unknown job") != std::string::npos ? 404 : 400,
-                  what);
-            }
-          }
-        }
-      }
-      return error_response(404, "no such job endpoint: " + std::string(path));
-    } catch (const ParseError& ex) {
-      return error_response(400, std::string("bad request body: ") + ex.what());
-    } catch (const IoError& ex) {
-      return error_response(400, std::string("bad request body: ") + ex.what());
-    } catch (const Error& ex) {
-      return error_response(400, ex.what());
-    }
+  server.add_route("GET", "/jobs/status", {}, [&coordinator](const serve::RouteRequest&) {
+    return json_response(200, coordinator.status_json());
   });
+  server.add_route("POST", "/jobs/lease", {},
+                   bad_body_is_400([&coordinator](const serve::RouteRequest& request) {
+                     const Json doc = Json::parse(request.body);
+                     const std::string worker = doc.at("worker").as_string();
+                     return json_response(200, lease_grant_json(coordinator.lease(worker)));
+                   }));
+  server.add_route(
+      "POST", "/jobs/{pdb_id}/heartbeat", {},
+      bad_body_is_400([&coordinator](const serve::RouteRequest& request) {
+        const Json doc = Json::parse(request.body);
+        const auto token = static_cast<std::uint64_t>(doc.at("lease_token").as_int());
+        const HeartbeatResult result = coordinator.heartbeat(request.params[0], token);
+        return json_response(result.ok ? 200 : 409, heartbeat_result_json(result));
+      }));
+  server.add_route(
+      "POST", "/jobs/{pdb_id}/complete", {},
+      bad_body_is_400([&coordinator](const serve::RouteRequest& request) {
+        const Json doc = Json::parse(request.body);
+        const auto token = static_cast<std::uint64_t>(doc.at("lease_token").as_int());
+        const BatchJobRecord record = batch_job_record_from_json(doc.at("record"));
+        try {
+          const CompleteResult result = coordinator.complete(request.params[0], token, record);
+          return json_response(200, complete_result_json(result));
+        } catch (const Error& ex) {
+          // Unknown job / mismatched record identity.
+          const std::string what = ex.what();
+          return error_response(what.find("unknown job") != std::string::npos ? 404 : 400,
+                                what);
+        }
+      }));
 }
 
 }  // namespace qdb::orchestrate

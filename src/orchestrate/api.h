@@ -1,7 +1,7 @@
-// The orchestrator job API over the dataset server (ISSUE 7).
+// The orchestrator job API over the dataset server.
 //
-// attach_job_api() mounts "/jobs" on a serve::DatasetServer, translating
-// HTTP+JSON to Coordinator calls:
+// attach_job_api() adds four rows to a serve::DatasetServer's route table,
+// translating HTTP+JSON to Coordinator calls:
 //
 //   POST /jobs/lease                {"worker": id}
 //     200 {"state":"granted", "pdb_id", "lease_token", "attempt",
@@ -16,9 +16,11 @@
 //   GET  /jobs/status
 //     200 <Coordinator::status_json()>
 //
-// Malformed JSON or missing fields → 400; unknown pdb_id → 404; wrong
-// method → 405.  The serialization helpers are exposed so the wire format
-// round-trips under test without a socket.
+// None takes query keys.  The route table answers wrong methods (405 +
+// Allow), unknown paths (404) and query keys (400); the handlers answer
+// malformed JSON or missing fields with 400 and an unknown pdb_id with 404.
+// The serialization helpers are exposed so the wire format round-trips
+// under test without a socket.
 #pragma once
 
 #include "common/json.h"
@@ -27,7 +29,7 @@
 
 namespace qdb::orchestrate {
 
-/// Mount the job API under /jobs.  The coordinator must outlive the server.
+/// Add the /jobs rows.  The coordinator must outlive the server.
 /// Call before server.start().
 void attach_job_api(serve::DatasetServer& server, Coordinator& coordinator);
 

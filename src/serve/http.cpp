@@ -91,6 +91,25 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
   return parse_header_lines(head.substr(eol + 1), &out->headers);
 }
 
+HttpResponse json_response(int status, const Json& body) {
+  HttpResponse resp;
+  resp.status = status;
+  resp.body = body.dump();
+  return resp;
+}
+
+HttpResponse error_response(int status, const std::string& message) {
+  Json body = Json::object();
+  body.set("error", message);
+  return json_response(status, body);
+}
+
+HttpResponse method_not_allowed(const std::string& allow) {
+  HttpResponse resp = error_response(405, std::string("use ") + allow);
+  resp.extra_headers.emplace_back("Allow", allow);
+  return resp;
+}
+
 const char* status_reason(int status) {
   switch (status) {
     case 200: return "OK";

@@ -2,7 +2,8 @@
 //
 // Covers exactly the subset the dataset service needs: GET requests with
 // headers and query strings, POSTs with fixed Content-Length JSON bodies
-// (the ISSUE 7 job API), fixed Content-Length responses, keep-alive.
+// (the ISSUE 7 job API), fixed Content-Length responses, keep-alive, and
+// the JSON response/error bodies every endpoint answers with.
 // No chunked transfer, no continuation lines, no percent-decoding (PDB ids
 // and query values are plain ASCII).  Pure functions over byte buffers —
 // sockets live in net_socket.*, so every branch here is unit-testable
@@ -13,6 +14,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/json.h"
 
 namespace qdb::serve {
 
@@ -50,6 +53,15 @@ struct HttpResponse {
   std::vector<std::pair<std::string, std::string>> extra_headers;
   std::string body;
 };
+
+/// A JSON response: `body` serialised with the given status.
+HttpResponse json_response(int status, const Json& body);
+
+/// The error body every endpoint shares: {"error": message}.
+HttpResponse error_response(int status, const std::string& message);
+
+/// 405 with `Allow: <allow>` (a comma-separated method list).
+HttpResponse method_not_allowed(const std::string& allow);
 
 /// Canonical reason phrase for the status codes the service emits.
 const char* status_reason(int status);

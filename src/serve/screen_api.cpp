@@ -1,7 +1,6 @@
 #include "serve/screen_api.h"
 
 #include <string>
-#include <string_view>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -13,25 +12,6 @@
 namespace qdb::serve {
 
 namespace {
-
-HttpResponse json_response(int status, const Json& body) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
-
-HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  return json_response(status, body);
-}
-
-HttpResponse method_not_allowed(const char* allow) {
-  HttpResponse resp = error_response(405, std::string("use ") + allow);
-  resp.extra_headers.emplace_back("Allow", allow);
-  return resp;
-}
 
 /// 400-throwing strict readers: every message names the offending key.
 struct BadRequest {
@@ -104,7 +84,9 @@ std::shared_ptr<const screen::PreparedReceptor> ScreenService::prepared_for(
 
   // Build outside the lock: grids take real time and requests for other
   // receptors must not queue behind the build.  A racing duplicate build is
-  // harmless — both produce identical bytes and put_blob dedups.
+  // harmless: both produce identical bytes, and each put_blob writer fills
+  // its own temp file before renaming it in (write_file_atomic), so the
+  // blob is complete whichever rename lands last.
   const store::EntryRecord* entry = store_.find(pdb_id);
   if (entry == nullptr) throw IoError("no entry '" + pdb_id + "' in the store");
   const std::shared_ptr<const std::string> pdb =
@@ -125,26 +107,12 @@ std::shared_ptr<const screen::PreparedReceptor> ScreenService::prepared_for(
   return prepared;
 }
 
-HttpResponse ScreenService::handle(const HttpRequest& request,
-                                   const std::string& body) {
+HttpResponse ScreenService::handle(const std::string& body) {
   static obs::Counter& requests = obs::counter("screen.api.requests");
   static obs::Counter& rejected = obs::counter("screen.api.rejected");
   static obs::Counter& ingests = obs::counter("screen.api.report_ingests");
   QDB_SPAN("screen.api.request");
   requests.add();
-
-  if (request.path != "/screen") {
-    rejected.add();
-    return error_response(404, "no such screen endpoint: " + request.path);
-  }
-  if (request.method != "POST") {
-    rejected.add();
-    return method_not_allowed("POST");
-  }
-  if (!request.query.empty()) {
-    rejected.add();
-    return error_response(400, "screen takes a JSON body, not query parameters");
-  }
 
   try {
     const Json doc = Json::parse(body);
@@ -208,10 +176,8 @@ HttpResponse ScreenService::handle(const HttpRequest& request,
 }
 
 void attach_screen_api(DatasetServer& server, ScreenService& service) {
-  server.set_route("/screen", [&service](const HttpRequest& request,
-                                         const std::string& body) {
-    return service.handle(request, body);
-  });
+  server.add_route("POST", "/screen", {},
+                   [&service](const RouteRequest& r) { return service.handle(r.body); });
 }
 
 }  // namespace qdb::serve

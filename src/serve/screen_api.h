@@ -1,9 +1,10 @@
-// "/screen" endpoint: virtual screening over the dataset server (ISSUE 9).
+// "POST /screen": virtual screening over the dataset server.
 //
-// attach_screen_api() mounts POST /screen on a serve::DatasetServer.  The
+// attach_screen_api() adds the POST /screen row to a serve::DatasetServer's
+// route table, which answers wrong methods, sub-paths and query keys.  The
 // request body selects a receptor entry from the store and the screening
 // options; the response is the ranked-hit report of the two-stage funnel
-// (screen/funnel.h) as JSON.  Validation is strict: unknown body keys,
+// (screen/funnel.h) as JSON.  Body validation is strict: unknown body keys,
 // wrong types, and out-of-range values are all 400s with a one-line reason,
 // matching the store API's error discipline.
 //
@@ -41,9 +42,9 @@ class ScreenService {
  public:
   explicit ScreenService(const store::Store& store, ScreenServiceOptions options = {});
 
-  /// Handle one /screen request (thread-safe; the server calls this from
+  /// Answer one POST /screen body (thread-safe; the server calls this from
   /// its worker pool).
-  HttpResponse handle(const HttpRequest& request, const std::string& body);
+  HttpResponse handle(const std::string& body);
 
  private:
   std::shared_ptr<const screen::PreparedReceptor> prepared_for(
@@ -61,7 +62,7 @@ class ScreenService {
   std::map<std::string, CacheEntry> cache_ QDB_GUARDED_BY(mu_);
 };
 
-/// Mount the service on "/screen".  The service must outlive the server.
+/// Add the POST /screen row.  The service must outlive the server.
 void attach_screen_api(DatasetServer& server, ScreenService& service);
 
 }  // namespace qdb::serve

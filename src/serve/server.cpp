@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <optional>
@@ -16,15 +17,6 @@
 namespace qdb::serve {
 
 namespace {
-
-HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
 
 /// Strict Content-Length parsing: digits only, whole value must consume.
 bool parse_content_length(const std::string& s, std::size_t* out) {
@@ -56,9 +48,14 @@ std::optional<int> parse_int(const std::string& s) {
   return static_cast<int>(v);
 }
 
-/// The /entries filter set.  Unknown or malformed parameters are an error:
-/// a typo silently matching everything is worse than a 400.
+/// The /entries filter set.  Malformed values are an error, and the route
+/// table rejects unknown keys: a typo silently matching everything is worse
+/// than a 400.
 struct EntryFilter {
+  static constexpr const char* kKeys[] = {
+      "group",      "length",   "min_length", "max_length",   "qubits",      "min_qubits",
+      "max_qubits", "min_rmsd", "max_rmsd",   "min_affinity", "max_affinity"};
+
   std::optional<char> group;
   std::optional<int> length, min_length, max_length;
   std::optional<int> qubits, min_qubits, max_qubits;
@@ -91,8 +88,6 @@ struct EntryFilter {
         else if (key == "max_rmsd") max_rmsd = v;
         else if (key == "min_affinity") min_affinity = v;
         else max_affinity = v;
-      } else {
-        return "unknown parameter '" + key + "'";
       }
     }
     return "";
@@ -145,6 +140,23 @@ const char* artifact_content_type(store::Artifact a) {
   return "application/octet-stream";
 }
 
+/// True when `path` has exactly the pattern's segments, a `{param}` segment
+/// matching any one non-empty segment; the param values go to *params.
+bool match_segments(const std::vector<std::string>& segments, std::string_view path,
+                    std::vector<std::string>* params) {
+  params->clear();
+  for (const std::string& segment : segments) {
+    if (!starts_with(path, "/")) return false;
+    path.remove_prefix(1);
+    const std::string_view part = path.substr(0, path.find('/'));
+    path.remove_prefix(part.size());
+    const bool is_param = starts_with(segment, "{");
+    if (is_param ? part.empty() : part != segment) return false;
+    if (is_param) params->emplace_back(part);
+  }
+  return path.empty();
+}
+
 /// Match an If-None-Match header value against an ETag ('"hash"'), accepting
 /// the quoted form, the bare hash, and the '*' wildcard.
 bool etag_matches(const std::string& if_none_match, const std::string& hash) {
@@ -162,6 +174,16 @@ DatasetServer::DatasetServer(const store::Store& store, ServeOptions options)
     : store_(store), options_(std::move(options)) {
   QDB_REQUIRE(options_.threads >= 1,
               "server needs at least 1 worker thread, got " << options_.threads);
+  add_route("GET", "/healthz", {}, [this](const RouteRequest&) { return handle_healthz(); });
+  add_route("GET", "/metrics", {"format"},
+            [this](const RouteRequest& r) { return handle_metrics(r.http); });
+  add_route("GET", "/entries", {std::begin(EntryFilter::kKeys), std::end(EntryFilter::kKeys)},
+            [this](const RouteRequest& r) { return handle_entries(r.http); });
+  add_route("GET", "/entries/{pdb_id}", {},
+            [this](const RouteRequest& r) { return handle_entry(r.params[0]); });
+  add_route("GET", "/entries/{pdb_id}/{artifact}", {}, [this](const RouteRequest& r) {
+    return handle_artifact(r.http, r.params[0], r.params[1]);
+  });
 }
 
 DatasetServer::~DatasetServer() { stop(); }
@@ -314,7 +336,7 @@ void DatasetServer::serve_connection(Socket conn) {
         // answer and drop the connection instead.
         response = error_response(413, "request body too large");
         keep_alive = false;
-      } else if (body_len > 0 && route_for(request.path) == nullptr) {
+      } else if (body_len > 0 && !accepts_body(request)) {
         response = error_response(400, "request bodies are not accepted");
         keep_alive = false;
       } else {
@@ -414,30 +436,34 @@ void DatasetServer::serve_connection(Socket conn) {
   }
 }
 
-void DatasetServer::set_route(std::string prefix, RouteHandler handler) {
-  QDB_REQUIRE(!running_, "set_route must be called before start()");
-  QDB_REQUIRE(!prefix.empty() && prefix.front() == '/' &&
-                  (prefix.size() == 1 || prefix.back() != '/'),
-              "route prefix must start with '/' and not end with one, got '"
-                  << prefix << "'");
-  for (auto& [p, h] : routes_) {
-    if (p == prefix) {
-      h = std::move(handler);
-      return;
-    }
-  }
-  routes_.emplace_back(std::move(prefix), std::move(handler));
+void DatasetServer::add_route(std::string method, const std::string& pattern,
+                              std::vector<std::string> query_keys, RouteHandler handler) {
+  QDB_REQUIRE(!running_, "add_route must be called before start()");
+  QDB_REQUIRE(method == "GET" || method == "POST", "route method must be GET or POST, got '"
+                                                       << method << "'");
+  QDB_REQUIRE(starts_with(pattern, "/"), "route pattern must start with '/', got '"
+                                             << pattern << "'");
+  routes_.push_back(Route{std::move(method), split(std::string_view(pattern).substr(1), '/'),
+                          std::move(query_keys), std::move(handler)});
 }
 
-const RouteHandler* DatasetServer::route_for(std::string_view path) const {
-  for (const auto& [prefix, handler] : routes_) {
-    if (path == prefix ||
-        (path.size() > prefix.size() && starts_with(path, prefix) &&
-         path[prefix.size()] == '/')) {
-      return &handler;
-    }
+const DatasetServer::Route* DatasetServer::find_route(const HttpRequest& request,
+                                                      std::vector<std::string>* params,
+                                                      std::string* allow) const {
+  for (const Route& route : routes_) {
+    if (!match_segments(route.segments, request.path, params)) continue;
+    if (route.method == request.method) return &route;
+    if (!allow->empty()) *allow += ", ";
+    *allow += route.method;
   }
   return nullptr;
+}
+
+bool DatasetServer::accepts_body(const HttpRequest& request) const {
+  std::vector<std::string> params;
+  std::string allow;
+  const Route* route = find_route(request, &params, &allow);
+  return route != nullptr ? route->method == "POST" : allow.empty();
 }
 
 HttpResponse DatasetServer::handle(const HttpRequest& request) const {
@@ -446,38 +472,27 @@ HttpResponse DatasetServer::handle(const HttpRequest& request) const {
 
 HttpResponse DatasetServer::handle(const HttpRequest& request,
                                    const std::string& body) const {
-  // Mounted sub-APIs route first and do their own method validation.
-  if (const RouteHandler* route = route_for(request.path)) {
-    return (*route)(request, body);
+  std::vector<std::string> params;
+  std::string allow;
+  const Route* route = find_route(request, &params, &allow);
+  if (route == nullptr) {
+    if (!allow.empty()) return method_not_allowed(allow);
+    return error_response(404, "no such resource: " + request.path);
   }
-  if (request.method != "GET") {
-    HttpResponse resp = error_response(405, "only GET is supported");
-    resp.extra_headers.emplace_back("Allow", "GET");
-    return resp;
-  }
-  const std::string& path = request.path;
-  if (path == "/healthz") {
-    Json health = Json::object();
-    health.set("status", "ok");
-    health.set("entries", static_cast<std::int64_t>(store_.entries().size()));
-    HttpResponse resp;
-    resp.body = health.dump();
-    return resp;
-  }
-  if (path == "/metrics") return handle_metrics(request);
-  if (path == "/entries") return handle_entries(request);
-  if (starts_with(path, "/entries/")) {
-    const std::string_view rest = std::string_view(path).substr(9);
-    const std::size_t slash = rest.find('/');
-    if (slash == std::string_view::npos) {
-      if (rest.empty()) return error_response(404, "missing pdb id");
-      return handle_entry(request, rest);
+  for (const auto& [key, value] : request.query) {
+    if (std::find(route->query_keys.begin(), route->query_keys.end(), key) ==
+        route->query_keys.end()) {
+      return error_response(400, "unknown parameter '" + key + "'");
     }
-    const std::string_view pdb_id = rest.substr(0, slash);
-    const std::string_view filename = rest.substr(slash + 1);
-    return handle_artifact(request, pdb_id, filename);
   }
-  return error_response(404, "no such resource: " + path);
+  return route->handler(RouteRequest{request, body, params});
+}
+
+HttpResponse DatasetServer::handle_healthz() const {
+  Json health = Json::object();
+  health.set("status", "ok");
+  health.set("entries", static_cast<std::int64_t>(store_.entries().size()));
+  return json_response(200, health);
 }
 
 HttpResponse DatasetServer::handle_entries(const HttpRequest& request) const {
@@ -495,31 +510,23 @@ HttpResponse DatasetServer::handle_entries(const HttpRequest& request) const {
   Json body = Json::object();
   body.set("count", count);
   body.set("entries", std::move(entries));
-  HttpResponse resp;
-  resp.body = body.dump();
-  return resp;
+  return json_response(200, body);
 }
 
-HttpResponse DatasetServer::handle_entry(const HttpRequest& request,
-                                         std::string_view pdb_id) const {
-  if (!request.query.empty()) {
-    return error_response(400, "entry lookup takes no parameters");
-  }
+HttpResponse DatasetServer::handle_entry(const std::string& pdb_id) const {
   const store::EntryRecord* e = store_.find(pdb_id);
   if (e == nullptr) {
-    return error_response(404, "unknown entry '" + std::string(pdb_id) + "'");
+    return error_response(404, "unknown entry '" + pdb_id + "'");
   }
-  HttpResponse resp;
-  resp.body = entry_summary_json(*e).dump();
-  return resp;
+  return json_response(200, entry_summary_json(*e));
 }
 
 HttpResponse DatasetServer::handle_artifact(const HttpRequest& request,
-                                            std::string_view pdb_id,
-                                            std::string_view filename) const {
+                                            const std::string& pdb_id,
+                                            const std::string& filename) const {
   const store::EntryRecord* e = store_.find(pdb_id);
   if (e == nullptr) {
-    return error_response(404, "unknown entry '" + std::string(pdb_id) + "'");
+    return error_response(404, "unknown entry '" + pdb_id + "'");
   }
   std::optional<store::Artifact> which;
   for (int i = 0; i < store::kArtifactCount; ++i) {
@@ -527,7 +534,7 @@ HttpResponse DatasetServer::handle_artifact(const HttpRequest& request,
     if (filename == store::artifact_filename(a)) which = a;
   }
   if (!which) {
-    return error_response(404, "unknown artifact '" + std::string(filename) +
+    return error_response(404, "unknown artifact '" + filename +
                                    "' (try structure.pdb, metadata.json, "
                                    "docking.json)");
   }
@@ -547,12 +554,6 @@ HttpResponse DatasetServer::handle_artifact(const HttpRequest& request,
 }
 
 HttpResponse DatasetServer::handle_metrics(const HttpRequest& request) const {
-  for (const auto& [key, value] : request.query) {
-    (void)value;
-    if (key != "format") {
-      return error_response(400, "unknown parameter '" + key + "'");
-    }
-  }
   const std::string* fmt = request.query_param("format");
   if (fmt != nullptr && *fmt != "json" && *fmt != "prometheus") {
     return error_response(400, "unknown format '" + *fmt +
@@ -591,10 +592,7 @@ HttpResponse DatasetServer::handle_metrics(const HttpRequest& request) const {
   // every layer, plus collector-sourced fault/contract counts.  Additive —
   // the historical sections above keep their exact shapes.
   body.set("registry", obs::MetricRegistry::global().to_json());
-
-  HttpResponse resp;
-  resp.body = body.dump();
-  return resp;
+  return json_response(200, body);
 }
 
 }  // namespace qdb::serve

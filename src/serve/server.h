@@ -6,30 +6,36 @@
 // common/parallel.h style of fan-out (explicit threads, no runtime), so the
 // whole request path is visible to ThreadSanitizer.
 //
-// Endpoints (all GET, all bodies built with common/json.h):
+// Routing is one table.  Each row is a method, an exact path pattern whose
+// `{param}` segments match any one non-empty segment, and the query keys
+// the row accepts.  The constructor registers the dataset endpoints:
 //
-//   /healthz                          liveness + entry count
-//   /metrics                          request counters, power-of-two latency
-//                                     histogram, blob-cache hit rate, store
-//                                     stats
-//   /entries                          entry summaries; filters: group=S|M|L,
-//                                     length=, min_length=, max_length=,
-//                                     qubits=, min_qubits=, max_qubits=,
-//                                     min_rmsd=, max_rmsd=, min_affinity=,
-//                                     max_affinity=
-//   /entries/{pdb_id}                 one entry summary (404 when unknown)
-//   /entries/{pdb_id}/structure.pdb   artifact bytes; ETag = content hash,
-//   /entries/{pdb_id}/metadata.json   If-None-Match → 304 (no body)
-//   /entries/{pdb_id}/docking.json
+//   GET /healthz                           liveness + entry count
+//   GET /metrics?format=json|prometheus    request counters, power-of-two
+//                                          latency histogram, blob-cache hit
+//                                          rate, store stats, the registry
+//   GET /entries                           entry summaries; filters: group,
+//                                          length, min_length, max_length,
+//                                          qubits, min_qubits, max_qubits,
+//                                          min_rmsd, max_rmsd, min_affinity,
+//                                          max_affinity
+//   GET /entries/{pdb_id}                  one entry summary (404 when unknown)
+//   GET /entries/{pdb_id}/{artifact}       structure.pdb, metadata.json or
+//                                          docking.json bytes; ETag = content
+//                                          hash, If-None-Match -> 304
+//
+// and the attach_* functions of the screen, trace and job APIs add theirs
+// with add_route().  The table, not the handlers, answers every request
+// whose shape is wrong: 404 when no pattern matches the path, 405 with an
+// Allow header listing the methods of the patterns that do, 400 for a
+// query key the row does not list, and, on a live connection before the
+// body is read, 400 for a body that no POST row takes (a body sent to an
+// unknown path is read, then answered 404).  Only POST rows take bodies, up
+// to max_body_bytes.  Handlers validate values, never the request's shape.
 //
 // Responses are deterministic functions of the store (entries are served in
 // index order, blobs verbatim), which is what lets the concurrent-load
 // golden test demand byte-identical bodies across thread counts.
-//
-// Sub-APIs (ISSUE 7): set_route() mounts a prefix handler (the orchestrator
-// job API mounts "/jobs") that routes ahead of the built-ins and may accept
-// POSTed JSON bodies up to max_body_bytes; paths without a mounted handler
-// still reject bodies outright.
 //
 // Shutdown is cooperative and clean: stop() shuts the listener down, wakes
 // the workers, and read-half-closes every in-flight connection — blocked
@@ -73,12 +79,18 @@ struct ServeOptions {
   std::uint64_t trace_seed = 0x71db5e71db5e71dbULL;
 };
 
-/// A mounted sub-API handler (ISSUE 7): receives the parsed request plus the
-/// raw body bytes and produces the full response, including its own method
-/// and parameter validation.  Must be thread-safe — the worker pool calls it
-/// concurrently.
-using RouteHandler =
-    std::function<HttpResponse(const HttpRequest& request, const std::string& body)>;
+/// What a route handler receives: the parsed request, its body bytes (empty
+/// on GET rows) and the values of the row pattern's `{param}` segments, in
+/// pattern order.
+struct RouteRequest {
+  const HttpRequest& http;
+  const std::string& body;
+  const std::vector<std::string>& params;
+};
+
+/// Produces the full response for a request the route table accepted.  Must
+/// be thread-safe — the worker pool calls it concurrently.
+using RouteHandler = std::function<HttpResponse(const RouteRequest& request)>;
 
 class DatasetServer {
  public:
@@ -104,37 +116,49 @@ class DatasetServer {
 
   const ServerMetrics& metrics() const { return metrics_; }
 
-  /// Mount a handler under `prefix` (e.g. "/jobs"): requests whose path is
-  /// the prefix or starts with prefix + "/" route to it, before the built-in
-  /// dataset endpoints, and are the only requests allowed to carry bodies.
-  /// Call before start(); later registrations of the same prefix replace
-  /// earlier ones.
-  void set_route(std::string prefix, RouteHandler handler);
+  /// Add a route-table row: `method` ("GET" or "POST") on the exact path
+  /// `pattern` (e.g. "/jobs/{pdb_id}/heartbeat"), accepting only the listed
+  /// query keys.  Call before start().
+  void add_route(std::string method, const std::string& pattern,
+                 std::vector<std::string> query_keys, RouteHandler handler);
 
   /// Pure request → response routing; exposed so tests can drive the
   /// router without a socket in the loop.  Thread-safe.
   HttpResponse handle(const HttpRequest& request) const;
 
-  /// Routing including mounted sub-APIs and the request body (ISSUE 7).
+  /// Routing with the request body, for POST rows.
   HttpResponse handle(const HttpRequest& request, const std::string& body) const;
 
  private:
-  const RouteHandler* route_for(std::string_view path) const;
+  struct Route {
+    std::string method;
+    std::vector<std::string> segments;  ///< pattern split on '/'
+    std::vector<std::string> query_keys;
+    RouteHandler handler;
+  };
+
+  /// The row for request.method on request.path, with its `{param}` values
+  /// in *params.  nullptr when no row matches; *allow then lists the methods
+  /// of the rows whose pattern matches the path (empty: none does).
+  const Route* find_route(const HttpRequest& request, std::vector<std::string>* params,
+                          std::string* allow) const;
+  /// False when the path has rows but none takes a body for this method.
+  bool accepts_body(const HttpRequest& request) const;
   void accept_loop() QDB_EXCLUDES(queue_mu_);
   void worker_loop() QDB_EXCLUDES(queue_mu_);
   void serve_connection(Socket conn) QDB_EXCLUDES(queue_mu_, active_mu_);
 
+  HttpResponse handle_healthz() const;
   HttpResponse handle_entries(const HttpRequest& request) const;
-  HttpResponse handle_entry(const HttpRequest& request,
-                            std::string_view pdb_id) const;
-  HttpResponse handle_artifact(const HttpRequest& request, std::string_view pdb_id,
-                               std::string_view filename) const;
+  HttpResponse handle_entry(const std::string& pdb_id) const;
+  HttpResponse handle_artifact(const HttpRequest& request, const std::string& pdb_id,
+                               const std::string& filename) const;
   HttpResponse handle_metrics(const HttpRequest& request) const;
 
   const store::Store& store_;
   ServeOptions options_;
   ServerMetrics metrics_;
-  std::vector<std::pair<std::string, RouteHandler>> routes_;
+  std::vector<Route> routes_;
 
   Socket listener_;
   std::uint16_t port_ = 0;

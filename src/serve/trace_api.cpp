@@ -11,44 +11,11 @@ namespace qdb::serve {
 
 namespace {
 
-HttpResponse json_response(int status, const Json& body) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
-
-HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  return json_response(status, body);
-}
-
-HttpResponse method_not_allowed(const char* allow) {
-  HttpResponse resp = error_response(405, std::string("use ") + allow);
-  resp.extra_headers.emplace_back("Allow", allow);
-  return resp;
-}
-
-HttpResponse handle_trace_ingest(const store::Store& store,
-                                 const HttpRequest& request,
-                                 const std::string& body) {
+HttpResponse handle_trace_ingest(const store::Store& store, const std::string& body) {
   static obs::Counter& ingests = obs::counter("serve.trace.ingests");
   static obs::Counter& rejected = obs::counter("serve.trace.rejected");
   QDB_SPAN("serve.trace.ingest");
 
-  if (request.path != "/trace") {
-    rejected.add();
-    return error_response(404, "no such trace endpoint: " + request.path);
-  }
-  if (request.method != "POST") {
-    rejected.add();
-    return method_not_allowed("POST");
-  }
-  if (!request.query.empty()) {
-    rejected.add();
-    return error_response(400, "trace takes a JSON body, not query parameters");
-  }
   try {
     const Json doc = Json::parse(body);
     if (!doc.is_object()) {
@@ -75,17 +42,10 @@ HttpResponse handle_trace_ingest(const store::Store& store,
 }
 
 HttpResponse handle_flight(const HttpRequest& request) {
-  if (request.path != "/debug/flight") {
-    return error_response(404, "no such debug endpoint: " + request.path);
-  }
-  if (request.method != "GET") {
-    return method_not_allowed("GET");
-  }
   std::size_t max_records = obs::kFlightCapacity;
-  for (const auto& [key, value] : request.query) {
-    if (key != "n") {
-      return error_response(400, "unknown parameter '" + key + "'");
-    }
+  // The route admits only `n`; every occurrence must be valid.
+  for (const auto& param : request.query) {
+    const std::string& value = param.second;
     std::size_t n = 0;
     bool ok = !value.empty() && value.size() <= 6;
     for (const char c : value) {
@@ -107,17 +67,11 @@ HttpResponse handle_flight(const HttpRequest& request) {
 }  // namespace
 
 void attach_trace_api(DatasetServer& server, const store::Store& store) {
-  server.set_route("/trace", [&store](const HttpRequest& request,
-                                      const std::string& body) {
-    return handle_trace_ingest(store, request, body);
+  server.add_route("POST", "/trace", {}, [&store](const RouteRequest& r) {
+    return handle_trace_ingest(store, r.body);
   });
-  server.set_route("/debug", [](const HttpRequest& request,
-                                const std::string& body) {
-    if (!body.empty()) {
-      return error_response(400, "request bodies are not accepted");
-    }
-    return handle_flight(request);
-  });
+  server.add_route("GET", "/debug/flight", {"n"},
+                   [](const RouteRequest& r) { return handle_flight(r.http); });
 }
 
 }  // namespace qdb::serve

@@ -369,16 +369,19 @@ std::string Store::put_blob(std::string_view bytes) const {
   const std::string hash = content_hash(bytes).hex();
   const std::string bp = blob_path(hash);
   if (fs::exists(bp)) {
-    obs::counter("store.blobs_deduplicated").add();
+    static obs::Counter& deduplicated = obs::counter("store.blobs_deduplicated");
+    deduplicated.add();
     return hash;
   }
   // Same crash-consistency argument as ingest_dataset: tmp + fsync + rename
   // leaves either no blob or a complete one, and a complete content-addressed
-  // blob is always correct.  Concurrent writers of the same bytes rename onto
-  // the same path with identical contents, so last-rename-wins is harmless.
+  // blob is always correct.  Concurrent writers of the same bytes each fill
+  // their own temp file and rename it onto the same path with identical
+  // contents, so last-rename-wins is harmless.
   fault_site("store.ingest.io");
   write_file_atomic(bp, std::string(bytes));
-  obs::counter("store.blobs_written").add();
+  static obs::Counter& written = obs::counter("store.blobs_written");
+  written.add();
   return hash;
 }
 

@@ -10,9 +10,10 @@
 //   Stage 2 — the optimised circuit is frozen and executed with 100,000
 //     measurement shots; the lowest-energy bitstrings map to conformations.
 //
-// Simulation engine: dense statevector for small registers, MPS for the
-// larger L-group circuits (linear-entanglement EfficientSU2 keeps the bond
-// dimension tiny).  All runs are deterministic per seed.
+// Simulation engine: the fused dense statevector engine (FusedEngine) for
+// small registers, MPS for the larger L-group circuits (linear-entanglement
+// EfficientSU2 keeps the bond dimension tiny).  All runs are deterministic
+// per seed.
 #pragma once
 
 #include <atomic>
@@ -65,11 +66,6 @@ struct VqeOptions {
   // Set to Precision::f64 to make stage-1 bit-identical to the pre-fusion
   // scalar engine.
   Precision stage1_precision = Precision::f32;
-
-  // Escape hatch: route dense sampling through the legacy one-gate-at-a-
-  // time Statevector instead of the fused engine (A/B determinism checks;
-  // with stage1_precision = f64 the two produce identical results).
-  bool use_fused_engine = true;
 
   // Bound on the per-driver bitstring -> energy memo.  COBYLA iterations
   // revisit the same basins, so distinct bitstrings scored in earlier

@@ -562,21 +562,21 @@ std::unique_ptr<store::Store> ScreenApiTest::store_;
 TEST_F(ScreenApiTest, StrictRequestMatrix) {
   serve::ScreenService service(*store_, {.threads = 1});
 
-  // Method and path discipline.
-  const serve::HttpResponse get = service.handle(screen_request("GET"), "");
+  // Method and path discipline, answered by the server's route table.
+  serve::DatasetServer server(*store_, {});
+  serve::attach_screen_api(server, service);
+  const serve::HttpResponse get = server.handle(screen_request("GET"), "");
   EXPECT_EQ(get.status, 405);
   bool has_allow = false;
   for (const auto& [k, v] : get.extra_headers) {
     has_allow = has_allow || (k == "Allow" && v == "POST");
   }
   EXPECT_TRUE(has_allow);
-  EXPECT_EQ(service.handle(screen_request("POST", "/screen/sub"), "{}").status, 404);
-  EXPECT_EQ(service.handle(screen_request("POST", "/screen?x=1"), "{}").status, 400);
+  EXPECT_EQ(server.handle(screen_request("POST", "/screen/sub"), "{}").status, 404);
+  EXPECT_EQ(server.handle(screen_request("POST", "/screen?x=1"), "{}").status, 400);
 
   // Body discipline: every rejection is a 400 with a one-line reason.
-  const auto post = [&](const std::string& body) {
-    return service.handle(screen_request(), body).status;
-  };
+  const auto post = [&](const std::string& body) { return service.handle(body).status; };
   EXPECT_EQ(post("not json"), 400);
   EXPECT_EQ(post("[1, 2]"), 400);
   EXPECT_EQ(post("{}"), 400);  // pdb_id is required
@@ -627,8 +627,8 @@ TEST_F(ScreenApiTest, ResponsesAreByteIdenticalAcrossServiceThreadCounts) {
   serve::ScreenService one(*store_, {.threads = 1});
   serve::ScreenService eight(*store_, {.threads = 8});
   const std::string body = small_body().dump();
-  const serve::HttpResponse a = one.handle(screen_request(), body);
-  const serve::HttpResponse b = eight.handle(screen_request(), body);
+  const serve::HttpResponse a = one.handle(body);
+  const serve::HttpResponse b = eight.handle(body);
   ASSERT_EQ(a.status, 200) << a.body;
   ASSERT_EQ(b.status, 200) << b.body;
   EXPECT_EQ(a.body, b.body);

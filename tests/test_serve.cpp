@@ -25,9 +25,12 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "orchestrate/api.h"
 #include "serve/client.h"
 #include "serve/http.h"
 #include "serve/metrics.h"
+#include "serve/net_socket.h"
+#include "serve/screen_api.h"
 #include "serve/server.h"
 #include "serve/trace_api.h"
 #include "store/store.h"
@@ -433,35 +436,127 @@ TEST_F(ServeTest, StopUnblocksIdleKeepAliveConnections) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 5);
 }
 
-// --- mounted sub-API routes (ISSUE 7) ----------------------------------------
+// --- route table ---------------------------------------------------------------
+
+/// Send raw request bytes over a fresh connection and return the status of
+/// the one response (the server closes after each rejection sent here).
+int raw_status(std::uint16_t port, const std::string& request) {
+  const Socket sock = tcp_connect("127.0.0.1", port);
+  send_all(sock, request);
+  std::string wire;
+  char chunk[4096];
+  while (wire.find("\r\n\r\n") == std::string::npos) {
+    const std::size_t n = recv_some(sock, chunk, sizeof chunk);
+    if (n == 0) break;
+    wire.append(chunk, n);
+  }
+  HttpClientResponse parsed;
+  const std::size_t head_end = wire.find("\r\n\r\n");
+  if (head_end == std::string::npos || !parse_response_head(wire.substr(0, head_end), &parsed)) {
+    return 0;
+  }
+  return parsed.status;
+}
+
+int raw_status_with_body(std::uint16_t port, const std::string& method,
+                         const std::string& path) {
+  return raw_status(port, method + " " + path +
+                              " HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}");
+}
+
+TEST_F(ServeTest, RouteTableMatrix) {
+  // Every row of a fully attached server: the dataset GETs, the screen,
+  // trace and job APIs.  Every request sent is rejected, so the coordinator
+  // and the screen service never do work.
+  DatasetServer server(*store_, ephemeral_options(2));
+  ScreenService screen(*store_);
+  attach_screen_api(server, screen);
+  attach_trace_api(server, *store_);
+  const std::vector<DatasetEntry>& entries = qdockbank_entries();
+  orchestrate::Coordinator coordinator({&entries[0], &entries[1]}, {});
+  orchestrate::attach_job_api(server, coordinator);
+
+  struct Row {
+    std::string method;
+    std::string path;
+  };
+  const std::vector<Row> rows = {
+      {"GET", "/healthz"},
+      {"GET", "/metrics"},
+      {"GET", "/entries"},
+      {"GET", "/entries/1yc4"},
+      {"GET", "/entries/1yc4/structure.pdb"},
+      {"POST", "/screen"},
+      {"POST", "/trace"},
+      {"GET", "/debug/flight"},
+      {"GET", "/jobs/status"},
+      {"POST", "/jobs/lease"},
+      {"POST", "/jobs/1yc4/heartbeat"},
+      {"POST", "/jobs/1yc4/complete"},
+  };
+  const auto request = [](const std::string& method, const std::string& target) {
+    HttpRequest req = get_request(target);
+    req.method = method;
+    return req;
+  };
+  for (const Row& row : rows) {
+    const std::string other = row.method == "GET" ? "POST" : "GET";
+    const HttpResponse wrong = server.handle(request(other, row.path));
+    EXPECT_EQ(wrong.status, 405) << other << " " << row.path;
+    std::string allow;
+    for (const auto& [name, value] : wrong.extra_headers) {
+      if (name == "Allow") allow = value;
+    }
+    EXPECT_EQ(allow, row.method) << row.path;
+    EXPECT_EQ(server.handle(request(row.method, row.path + "/x")).status, 404) << row.path;
+    EXPECT_EQ(server.handle(request(row.method, row.path + "?bogus=1")).status, 400)
+        << row.path;
+  }
+  // A method no row has is 405 on a known path and 404 elsewhere.
+  EXPECT_EQ(server.handle(request("DELETE", "/entries")).status, 405);
+  EXPECT_EQ(server.handle(request("POST", "/nope")).status, 404);
+  // `{param}` segments match one non-empty segment only.
+  EXPECT_EQ(server.handle(get_request("/entries/")).status, 404);
+  EXPECT_EQ(server.handle(request("POST", "/jobs//heartbeat")).status, 404);
+
+  // Live: a body is refused before it is read unless a POST row takes it,
+  // whatever the method; a body sent to an unknown path is read, then 404.
+  server.start();
+  for (const Row& row : rows) {
+    const std::string other = row.method == "GET" ? "POST" : "GET";
+    EXPECT_EQ(raw_status_with_body(server.port(), other, row.path), 400)
+        << other << " " << row.path;
+    if (row.method == "GET") {
+      EXPECT_EQ(raw_status_with_body(server.port(), "GET", row.path), 400) << row.path;
+    }
+  }
+  EXPECT_EQ(raw_status_with_body(server.port(), "POST", "/nope"), 404);
+  server.stop();
+}
 
 TEST_F(ServeTest, MountedRouteAcceptsBodiesUnmountedPathsReject) {
   ServeOptions opt = ephemeral_options(2);
   opt.max_body_bytes = 1024;  // small enough that an oversized POST still
                               // fits in the socket buffers before the 413
   DatasetServer server(*store_, opt);
-  server.set_route("/echo", [](const HttpRequest& request, const std::string& body) {
+  server.add_route("POST", "/echo", {}, [](const RouteRequest& request) {
     Json j = Json::object();
-    j.set("method", request.method);
-    j.set("body", body);
-    HttpResponse resp;
-    resp.body = j.dump();
-    return resp;
+    j.set("method", request.http.method);
+    j.set("body", request.body);
+    return json_response(200, j);
   });
   server.start();
   HttpClient client("127.0.0.1", server.port());
 
-  // A POSTed body reaches the mounted handler verbatim.
+  // A POSTed body reaches the route's handler verbatim.
   const HttpClientResponse ok = client.post("/echo", "{\"x\": 1}");
   ASSERT_EQ(ok.status, 200);
   EXPECT_EQ(Json::parse(ok.body).at("body").as_string(), "{\"x\": 1}");
   EXPECT_EQ(Json::parse(ok.body).at("method").as_string(), "POST");
-  // Prefix routing covers sub-paths too.
-  EXPECT_EQ(client.post("/echo/sub/path", "{}").status, 200);
 
-  // Paths without a mounted handler still reject bodies outright.
+  // Paths without a POST row still reject bodies outright.
   EXPECT_EQ(client.post("/healthz", "{}").status, 400);
-  // Oversized bodies get a complete 413 even on a mounted route (the server
+  // Oversized bodies get a complete 413 even on a POST route (the server
   // answers and drops the connection without draining the body).
   EXPECT_EQ(client.post("/echo", std::string(2048, 'x')).status, 413);
   server.stop();
@@ -477,7 +572,7 @@ TEST_F(ServeTest, StopDeliversInFlightResponseCompletely) {
   std::condition_variable cv;
   bool entered = false;
   bool release = false;
-  server.set_route("/slow", [&](const HttpRequest&, const std::string&) {
+  server.add_route("POST", "/slow", {}, [&](const RouteRequest&) {
     {
       std::unique_lock<std::mutex> lock(mu);
       entered = true;

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -305,6 +306,36 @@ TEST_F(StoreTest, BlobWriteFaultLeavesStoreConsistentAndReingestConverges) {
   Store clean(path("clean_store"));
   clean.ingest_dataset(dataset_root());
   EXPECT_EQ(read_file(retry.index_path()), read_file(clean.index_path()));
+}
+
+TEST_F(StoreTest, ConcurrentFirstWritersOfOneBlob) {
+  // Writers racing to create one new blob must not share a temp file: a
+  // shared one let a writer's truncation land under the content hash and
+  // made the losing rename throw.
+  Store store(path("store"));
+  const std::string bytes(256 * 1024, 'q');
+  constexpr int kWriters = 8;
+  std::vector<std::string> hashes(kWriters);
+  std::vector<std::string> errors(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      try {
+        hashes[static_cast<std::size_t>(w)] = store.put_blob(bytes);
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(w)] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(errors[static_cast<std::size_t>(w)], "") << "writer " << w;
+    EXPECT_EQ(hashes[static_cast<std::size_t>(w)], content_hash(bytes).hex()) << "writer " << w;
+  }
+  EXPECT_EQ(*store.read_blob(content_hash(bytes).hex()), bytes);
+  for (const auto& p : fs::recursive_directory_iterator(path("store"))) {
+    EXPECT_EQ(p.path().filename().string().find(".tmp"), std::string::npos) << p.path();
+  }
 }
 
 TEST_F(StoreTest, IndexWriteFaultPreservesPreviousIndex) {
