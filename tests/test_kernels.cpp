@@ -86,6 +86,67 @@ TEST(FusedEngineF64, BitIdenticalAcrossBlockSizesAndGateKinds) {
   }
 }
 
+// Every op shape whose low qubit sits inside one SIMD register (or just
+// above it): each 1q op on qubits 0-3 and each 2q pair whose low qubit is
+// 0-3, in both operand orders, with generic unitary matrices.
+std::vector<FusedOp> low_qubit_ops(int nq, Rng& rng) {
+  auto rot = [&] {
+    return matmul_2x2(gate_matrix_1q(GateKind::RY, rng.uniform(-3.0, 3.0)),
+                      gate_matrix_1q(GateKind::RZ, rng.uniform(-3.0, 3.0)));
+  };
+  std::vector<FusedOp> ops;
+  for (int q = 0; q <= 3; ++q) {
+    FusedOp op;
+    op.q0 = q;
+    op.m2 = rot();
+    ops.push_back(op);
+  }
+  for (int lo = 0; lo <= 3; ++lo) {
+    for (int hi = lo + 1; hi < nq; ++hi) {
+      for (const bool lo_first : {true, false}) {
+        FusedOp op;
+        op.two_qubit = true;
+        op.q0 = lo_first ? lo : hi;
+        op.q1 = lo_first ? hi : lo;
+        op.m4 = matmul_4x4(gate_matrix_2q(GateKind::CX), kron_2x2(rot(), rot()));
+        ops.push_back(op);
+      }
+    }
+  }
+  return ops;
+}
+
+// Apply the ops one at a time to a dispatching and a force_scalar engine
+// and require memcmp equality after each, at cache-block sizes that give
+// ranges both narrower and wider than one register.
+void expect_low_qubit_ops_match_scalar(Precision precision, int nq) {
+  Rng rng(61);
+  const std::vector<FusedOp> ops = low_qubit_ops(nq, rng);
+  const Circuit prep = transpiled_ansatz(nq, 13);
+  for (const int block : {1, 2, 3, 4, nq}) {
+    EngineOptions dispatch_opt;
+    dispatch_opt.block_qubits = block;
+    EngineOptions scalar_opt = dispatch_opt;
+    scalar_opt.force_scalar = true;
+    FusedEngine dispatch(nq, precision, dispatch_opt);
+    FusedEngine scalar(nq, precision, scalar_opt);
+    dispatch.apply(prep);
+    scalar.apply(prep);
+    ASSERT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()));
+    for (const FusedOp& op : ops) {
+      FusedProgram p;
+      p.num_qubits = nq;
+      p.ops = {op};
+      p.gates_in = 1;
+      dispatch.apply(p);
+      scalar.apply(p);
+      ASSERT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()))
+          << precision_name(precision) << " block=" << block << " q0=" << op.q0
+          << " q1=" << op.q1;
+    }
+  }
+}
+
 TEST(FusedEngineF64, ScalarFallbackMatchesDispatchBitForBit) {
   const int nq = 12;
   const Circuit native = transpiled_ansatz(nq, 3);
@@ -98,6 +159,20 @@ TEST(FusedEngineF64, ScalarFallbackMatchesDispatchBitForBit) {
   // On AVX2 hosts this proves the SIMD kernels reproduce the scalar
   // expression tree exactly; elsewhere both sides run the same fallback.
   EXPECT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()));
+  expect_low_qubit_ops_match_scalar(Precision::f64, 7);
+}
+
+TEST(FusedEngineF32, ScalarFallbackMatchesDispatchBitForBit) {
+  const int nq = 12;
+  const Circuit native = transpiled_ansatz(nq, 3);
+  EngineOptions scalar_opt;
+  scalar_opt.force_scalar = true;
+  FusedEngine scalar(nq, Precision::f32, scalar_opt);
+  FusedEngine dispatch(nq, Precision::f32);
+  scalar.apply(native);
+  dispatch.apply(native);
+  EXPECT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()));
+  expect_low_qubit_ops_match_scalar(Precision::f32, 8);
 }
 
 TEST(FusedEngineF64, ResetAndReuseMatchesFreshEngine) {

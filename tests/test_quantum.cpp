@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -395,6 +398,98 @@ TEST(Noise, CircuitDurationGrowsWithDepth) {
   for (int i = 0; i < 100; ++i) deep.cx(0, 1);
   EXPECT_GT(circuit_duration_s(deep, m), circuit_duration_s(shallow, m));
   EXPECT_GT(circuit_duration_s(shallow, m), 0.0);
+}
+
+// --- bit-exact MPS goldens ------------------------------------------------------
+//
+// The MPS two-site update and the conditional sampler are optimisation
+// targets; these goldens pin the IEEE-754 bits of a fixed noisy apply and
+// the exact draws of a fixed sampling run, including the rng position after
+// it.  Any change that reorders one complex product shows up here.
+
+std::string hex_u64(std::uint64_t b) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(b));
+  return buf;
+}
+
+std::string hex_bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return hex_u64(b);
+}
+
+std::string amplitude_bits(const MpsSimulator& mps, std::uint64_t x) {
+  const cplx a = mps.amplitude(x);
+  return hex_bits(a.real()) + hex_bits(a.imag());
+}
+
+std::string shots_digest(const std::vector<std::uint64_t>& shots) {
+  std::string bytes;
+  for (std::uint64_t x : shots) bytes += hex_u64(x);
+  return hex_u64(fnv1a(bytes));
+}
+
+// A VQE-shaped 22-qubit trajectory: EfficientSU2 (reps 2) at a broad
+// parameter point with Eagle-r3 Pauli errors inserted, at the VQE bond cap.
+MpsSimulator noisy_mps_22(Rng& rng) {
+  const int nq = 22;
+  const EfficientSU2 ansatz(nq, 2);
+  const Circuit logical = ansatz.build(ansatz.initial_point(rng, 1.2));
+  const Circuit noisy = noise_trajectory(logical, NoiseModel::eagle_r3().scaled(20.0), rng);
+  MpsSimulator mps(nq, /*max_bond=*/64);
+  mps.apply(noisy);
+  return mps;
+}
+
+TEST(MpsGolden, NoisyApplyIsBitStable) {
+  Rng rng(2025);
+  const MpsSimulator mps = noisy_mps_22(rng);
+  EXPECT_EQ(hex_bits(mps.truncation_weight()), "0000000000000000");
+  EXPECT_EQ(hex_bits(mps.norm2()), "3ff0000000000020");
+  EXPECT_EQ(mps.max_bond_reached(), 4);
+  std::string bytes;
+  Rng pick(17);
+  for (int i = 0; i < 256; ++i) bytes += amplitude_bits(mps, pick() & ((1u << 22) - 1));
+  EXPECT_EQ(amplitude_bits(mps, 0), "bf2792a2092ceb1cbf220c5c7bbc1e4e");
+  EXPECT_EQ(hex_u64(fnv1a(bytes)), "ea0d42fc4f89dcf8");
+}
+
+TEST(MpsGolden, SampleDrawsAndRngPositionAreBitStable) {
+  Rng rng(2025);
+  const MpsSimulator mps = noisy_mps_22(rng);
+  Rng draws(4242);
+  const auto small = mps.sample(64, draws);
+  EXPECT_EQ(shots_digest(small), "2ee843c0759b841a");
+  EXPECT_EQ(small.front(), 2179737u);
+  EXPECT_EQ(hex_bits(draws.uniform()), "3fd6e23f0fe17a6a");
+  // Broad enough that the distinct prefixes of 20000 shots outgrow any
+  // bounded prefix memo: the tail of this run is sampled without storing.
+  const auto large = mps.sample(20000, draws);
+  EXPECT_EQ(shots_digest(large), "dce5306ff9a62ef1");
+  EXPECT_EQ(hex_bits(draws.uniform()), "3fd3155488eefb9e");
+}
+
+// Deep random circuit with non-adjacent gates under a tight bond cap: SWAP
+// routing and truncation both run, at bond dimension 8.
+TEST(MpsGolden, TruncatedNonAdjacentApplyIsBitStable) {
+  const int nq = 12;
+  Circuit c(nq);
+  Rng rng(99);
+  for (int layer = 0; layer < 8; ++layer) {
+    for (int q = 0; q < nq; ++q) c.ry(rng.uniform(-kPi, kPi), q).rz(rng.uniform(-kPi, kPi), q);
+    for (int q = 0; q + 1 < nq; q += 2) c.cx(q, (q + 3 + layer) % nq);
+  }
+  MpsSimulator mps(nq, /*max_bond=*/8);
+  mps.apply(c);
+  EXPECT_EQ(hex_bits(mps.truncation_weight()), "4050862e522ea8e8");
+  EXPECT_EQ(hex_bits(mps.norm2()), "3ffb2c5fc0788076");
+  std::string bytes;
+  for (std::uint64_t x = 0; x < (1u << nq); ++x) bytes += amplitude_bits(mps, x);
+  EXPECT_EQ(hex_u64(fnv1a(bytes)), "72742a1e50b021fa");
+  Rng draws(7);
+  EXPECT_EQ(shots_digest(mps.sample(3000, draws)), "496b917feba4c39d");
+  EXPECT_EQ(hex_bits(draws.uniform()), "3fdf8fe2a3213c50");
 }
 
 TEST(Ansatz, ParameterCountMatchesQiskit) {
