@@ -326,41 +326,263 @@ void apply_2q_avx2(float* re, float* im, std::uint64_t begin, std::uint64_t end,
   }
 }
 
-#endif  // QDB_AVX2_BUILD
+// ---------------------------------------------------------------------------
+// Low-qubit AVX2 kernels, for ops whose low qubit lies inside one register
+// (q < 2 at f64, q < 3 at f32).  Each output lane fetches its operands with
+// an in-register permute of the register(s) holding its amplitude group,
+// multiplies them by a per-lane copy of its matrix row, and sums in the
+// scalar kernels' order, so every lane evaluates the scalar expression
+// tree, again without FMA.
+// ---------------------------------------------------------------------------
 
 template <class Real>
-constexpr std::uint64_t simd_lanes() {
-  return sizeof(Real) == 8 ? 4 : 8;
+struct Avx2;
+
+template <>
+struct Avx2<double> {
+  using Vec = __m256d;
+  static constexpr int kLanes = 4;
+  static constexpr int kLaneBits = 2;
+  __attribute__((target("avx2"))) static Vec load(const double* p) { return _mm256_loadu_pd(p); }
+  __attribute__((target("avx2"))) static void store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  __attribute__((target("avx2"))) static Vec mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  __attribute__((target("avx2"))) static Vec add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
+  __attribute__((target("avx2"))) static Vec sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
+  /// Lane p of the result is lane src[p] of x.
+  __attribute__((target("avx2"))) static __m256i lane_index(const int* src) {
+    return _mm256_setr_epi32(2 * src[0], 2 * src[0] + 1, 2 * src[1], 2 * src[1] + 1,
+                             2 * src[2], 2 * src[2] + 1, 2 * src[3], 2 * src[3] + 1);
+  }
+  __attribute__((target("avx2"))) static Vec permute(Vec x, __m256i idx) {
+    return _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(x), idx));
+  }
+};
+
+template <>
+struct Avx2<float> {
+  using Vec = __m256;
+  static constexpr int kLanes = 8;
+  static constexpr int kLaneBits = 3;
+  __attribute__((target("avx2"))) static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  __attribute__((target("avx2"))) static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  __attribute__((target("avx2"))) static Vec mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  __attribute__((target("avx2"))) static Vec add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  __attribute__((target("avx2"))) static Vec sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
+  __attribute__((target("avx2"))) static __m256i lane_index(const int* src) {
+    return _mm256_setr_epi32(src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]);
+  }
+  __attribute__((target("avx2"))) static Vec permute(Vec x, __m256i idx) {
+    return _mm256_permutevar8x32_ps(x, idx);
+  }
+};
+
+// [begin, end) is register-aligned and a whole number of registers; every
+// register holds whole (i0, i1) pairs.
+template <class Real>
+__attribute__((target("avx2")))
+void apply_1q_avx2_low(Real* re, Real* im, std::uint64_t begin, std::uint64_t end,
+                       int q, const Real* m) {
+  using K = Avx2<Real>;
+  using Vec = typename K::Vec;
+  constexpr int L = K::kLanes;
+  const int bit = 1 << q;
+  int src[2][L];
+  alignas(32) Real cr[2][L], ci[2][L];  // [column][lane]
+  for (int p = 0; p < L; ++p) {
+    const int row = (p & bit) ? 1 : 0;
+    for (int col = 0; col < 2; ++col) {
+      src[col][p] = col ? (p | bit) : (p & ~bit);
+      cr[col][p] = m[(row * 2 + col) * 2 + 0];
+      ci[col][p] = m[(row * 2 + col) * 2 + 1];
+    }
+  }
+  const __m256i idx0 = K::lane_index(src[0]), idx1 = K::lane_index(src[1]);
+  const Vec c0r = K::load(cr[0]), c0i = K::load(ci[0]);
+  const Vec c1r = K::load(cr[1]), c1i = K::load(ci[1]);
+  for (std::uint64_t i = begin; i != end; i += L) {
+    const Vec xr = K::load(re + i), xi = K::load(im + i);
+    const Vec a0r = K::permute(xr, idx0), a0i = K::permute(xi, idx0);
+    const Vec a1r = K::permute(xr, idx1), a1i = K::permute(xi, idx1);
+    K::store(re + i, K::add(K::sub(K::mul(c0r, a0r), K::mul(c0i, a0i)),
+                            K::sub(K::mul(c1r, a1r), K::mul(c1i, a1i))));
+    K::store(im + i, K::add(K::add(K::mul(c0r, a0i), K::mul(c0i, a0r)),
+                            K::add(K::mul(c1r, a1i), K::mul(c1i, a1r))));
+  }
 }
+
+// One output row of a 2q op: v = t0, v += t1, v += t2, v += t3 with
+// t_c = m[r][c] * a_c, exactly as apply_2q_scalar.
+template <class Real, class Vec = typename Avx2<Real>::Vec>
+__attribute__((target("avx2"), always_inline)) inline
+void row_sum_avx2(const Vec* ar, const Vec* ai, const Vec* cr, const Vec* ci,
+                  Real* out_re, Real* out_im) {
+  using K = Avx2<Real>;
+  Vec vr = K::sub(K::mul(cr[0], ar[0]), K::mul(ci[0], ai[0]));
+  Vec vi = K::add(K::mul(cr[0], ai[0]), K::mul(ci[0], ar[0]));
+#pragma GCC unroll 3
+  for (int c = 1; c < 4; ++c) {
+    vr = K::add(vr, K::sub(K::mul(cr[c], ar[c]), K::mul(ci[c], ai[c])));
+    vi = K::add(vi, K::add(K::mul(cr[c], ai[c]), K::mul(ci[c], ar[c])));
+  }
+  K::store(out_re, vr);
+  K::store(out_im, vi);
+}
+
+// A 2q op with its low qubit inside a register and its high qubit across
+// registers: the register at i (high bit 0) and the one at i + 2^hi (high
+// bit 1) line up lane by lane, and each lane reads the low-bit-0/1
+// operands of its own pair.  kLowIsQ0 tells which operand is the low qubit;
+// matrix column c pairs with the amplitude whose (q1, q0) bits are
+// (c >> 1, c & 1).
+template <class Real, bool kLowIsQ0>
+__attribute__((target("avx2")))
+void apply_2q_avx2_split(Real* re, Real* im, std::uint64_t begin, std::uint64_t end,
+                         int lo, int hi, const Real* m) {
+  using K = Avx2<Real>;
+  using Vec = typename K::Vec;
+  constexpr int L = K::kLanes;
+  const int bl = 1 << lo;
+  int src[2][L];                              // [low-bit value][lane]
+  alignas(32) Real cr[2][4][L], ci[2][4][L];  // [high bit][column][lane]
+  for (int p = 0; p < L; ++p) {
+    const int low_bit = (p & bl) ? 1 : 0;
+    src[0][p] = p & ~bl;
+    src[1][p] = p | bl;
+    for (int h = 0; h < 2; ++h) {
+      const int row = kLowIsQ0 ? 2 * h + low_bit : 2 * low_bit + h;
+      for (int c = 0; c < 4; ++c) {
+        cr[h][c][p] = m[(row * 4 + c) * 2 + 0];
+        ci[h][c][p] = m[(row * 4 + c) * 2 + 1];
+      }
+    }
+  }
+  const __m256i idx0 = K::lane_index(src[0]), idx1 = K::lane_index(src[1]);
+  Vec cvr[2][4], cvi[2][4];
+  for (int h = 0; h < 2; ++h)
+    for (int c = 0; c < 4; ++c) {
+      cvr[h][c] = K::load(cr[h][c]);
+      cvi[h][c] = K::load(ci[h][c]);
+    }
+  // Operand (register, low bit) -> index register * 2 + low bit; columns 1
+  // and 2 swap places when the low qubit is q1.
+  constexpr int k1 = kLowIsQ0 ? 1 : 2;
+  constexpr int k2 = kLowIsQ0 ? 2 : 1;
+  const std::uint64_t bh = std::uint64_t{1} << hi;
+  for (std::uint64_t base = begin; base != end; base += (bh << 1)) {
+    for (std::uint64_t j = 0; j < bh; j += L) {
+      const std::uint64_t i0 = base + j;
+      const std::uint64_t i1 = i0 + bh;
+      const Vec x0r = K::load(re + i0), x0i = K::load(im + i0);
+      const Vec x1r = K::load(re + i1), x1i = K::load(im + i1);
+      const Vec pr[4] = {K::permute(x0r, idx0), K::permute(x0r, idx1),
+                         K::permute(x1r, idx0), K::permute(x1r, idx1)};
+      const Vec pi[4] = {K::permute(x0i, idx0), K::permute(x0i, idx1),
+                         K::permute(x1i, idx0), K::permute(x1i, idx1)};
+      const Vec ar[4] = {pr[0], pr[k1], pr[k2], pr[3]};
+      const Vec ai[4] = {pi[0], pi[k1], pi[k2], pi[3]};
+      row_sum_avx2(ar, ai, cvr[0], cvi[0], re + i0, im + i0);
+      row_sum_avx2(ar, ai, cvr[1], cvi[1], re + i1, im + i1);
+    }
+  }
+}
+
+template <class Real>
+__attribute__((target("avx2")))
+void apply_2q_avx2_low(Real* re, Real* im, std::uint64_t begin, std::uint64_t end,
+                       int q0, int q1, const Real* m) {
+  using K = Avx2<Real>;
+  using Vec = typename K::Vec;
+  constexpr int L = K::kLanes;
+  if (q0 >= K::kLaneBits || q1 >= K::kLaneBits) {
+    if (q0 < q1) {
+      apply_2q_avx2_split<Real, true>(re, im, begin, end, q0, q1, m);
+    } else {
+      apply_2q_avx2_split<Real, false>(re, im, begin, end, q1, q0, m);
+    }
+    return;
+  }
+  // Both qubits inside a register: each register holds whole groups, and
+  // lane p reads column c's operand from lane (p without the op bits) | c's
+  // bits.
+  const int b0 = 1 << q0;
+  const int b1 = 1 << q1;
+  int src[4][L];
+  alignas(32) Real cr[4][L], ci[4][L];  // [column][lane]
+  for (int p = 0; p < L; ++p) {
+    const int row = ((p & b1) ? 2 : 0) + ((p & b0) ? 1 : 0);
+    for (int c = 0; c < 4; ++c) {
+      src[c][p] = (p & ~(b0 | b1)) | ((c & 1) ? b0 : 0) | ((c & 2) ? b1 : 0);
+      cr[c][p] = m[(row * 4 + c) * 2 + 0];
+      ci[c][p] = m[(row * 4 + c) * 2 + 1];
+    }
+  }
+  __m256i idx[4];
+  Vec cvr[4], cvi[4];
+  for (int c = 0; c < 4; ++c) {
+    idx[c] = K::lane_index(src[c]);
+    cvr[c] = K::load(cr[c]);
+    cvi[c] = K::load(ci[c]);
+  }
+  for (std::uint64_t i = begin; i != end; i += L) {
+    const Vec xr = K::load(re + i), xi = K::load(im + i);
+    const Vec ar[4] = {K::permute(xr, idx[0]), K::permute(xr, idx[1]),
+                       K::permute(xr, idx[2]), K::permute(xr, idx[3])};
+    const Vec ai[4] = {K::permute(xi, idx[0]), K::permute(xi, idx[1]),
+                       K::permute(xi, idx[2]), K::permute(xi, idx[3])};
+    row_sum_avx2(ar, ai, cvr, cvi, re + i, im + i);
+  }
+}
+
+// AVX2 dispatch for one op over [begin, end).  A range narrower than one
+// register (a cache block below the register width) is staged through a
+// zero-padded register-sized buffer; its op bits all lie inside the range,
+// so the padding lanes never feed a real amplitude.
+template <class Real>
+void apply_op_avx2(Real* re, Real* im, const OpK<Real>& op, std::uint64_t begin,
+                   std::uint64_t end) {
+  constexpr int L = Avx2<Real>::kLanes;
+  if (end - begin < L) {
+    const auto n = static_cast<std::ptrdiff_t>(end - begin);
+    Real pad_re[L] = {}, pad_im[L] = {};
+    std::copy(re + begin, re + end, pad_re);
+    std::copy(im + begin, im + end, pad_im);
+    apply_op_avx2(pad_re, pad_im, op, 0, L);
+    std::copy(pad_re, pad_re + n, re + begin);
+    std::copy(pad_im, pad_im + n, im + begin);
+    return;
+  }
+  if (op.two_qubit) {
+    if (std::min(op.q0, op.q1) >= Avx2<Real>::kLaneBits) {
+      apply_2q_avx2(re, im, begin, end, op.q0, op.q1, op.m);
+    } else {
+      apply_2q_avx2_low(re, im, begin, end, op.q0, op.q1, op.m);
+    }
+  } else if (op.q0 >= Avx2<Real>::kLaneBits) {
+    apply_1q_avx2(re, im, begin, end, op.q0, op.m);
+  } else {
+    apply_1q_avx2_low(re, im, begin, end, op.q0, op.m);
+  }
+}
+
+#endif  // QDB_AVX2_BUILD
 
 // Apply one lowered op to the index range [begin, end).  `begin`/`end` must
 // be multiples of 2^(op.hi + 1) (block bases and full-array chunks are).
+// The scalar kernels run only without AVX2 (or under force_scalar).
 template <class Real>
 void apply_op_range(Real* re, Real* im, const OpK<Real>& op, std::uint64_t begin,
                     std::uint64_t end, bool avx2) {
-  if (op.two_qubit) {
-    const std::uint64_t bl = std::uint64_t{1} << std::min(op.q0, op.q1);
 #ifdef QDB_AVX2_BUILD
-    if (avx2 && bl >= simd_lanes<Real>()) {
-      apply_2q_avx2(re, im, begin, end, op.q0, op.q1, op.m);
-      return;
-    }
+  if (avx2) {
+    apply_op_avx2(re, im, op, begin, end);
+    return;
+  }
 #else
-    (void)avx2;
-    (void)bl;
+  (void)avx2;
 #endif
+  if (op.two_qubit) {
     apply_2q_scalar(re, im, begin, end, op.q0, op.q1, op.m);
   } else {
-    const std::uint64_t stride = std::uint64_t{1} << op.q0;
-#ifdef QDB_AVX2_BUILD
-    if (avx2 && stride >= simd_lanes<Real>()) {
-      apply_1q_avx2(re, im, begin, end, op.q0, op.m);
-      return;
-    }
-#else
-    (void)avx2;
-    (void)stride;
-#endif
     apply_1q_scalar(re, im, begin, end, op.q0, op.m);
   }
 }

@@ -86,16 +86,17 @@ VqeResult VqeDriver::run() const {
 
   Rng rng(opt_.seed);
 
-  // Dense engines are hoisted out of the trajectory loop and reused via
-  // reset(): one allocation per precision for the whole run.  Stage 1 uses
-  // opt_.stage1_precision (f32 by default — see VqeOptions); stage 2 and
-  // everything published always sample at f64.
+  // Engines are hoisted out of the trajectory loop and reused via reset():
+  // one allocation per dense precision (and one MPS workspace) for the whole
+  // run.  Stage 1 uses opt_.stage1_precision (f32 by default — see
+  // VqeOptions); stage 2 and everything published always sample at f64.
   std::optional<FusedEngine> dense_f64, dense_f32;
   auto dense_engine = [&](Precision prec) -> FusedEngine& {
     auto& slot = prec == Precision::f64 ? dense_f64 : dense_f32;
     if (!slot) slot.emplace(nq, prec);
     return *slot;
   };
+  std::optional<MpsSimulator> mps;
 
   // Draw `shots` measurement outcomes of the ansatz at `params` under the
   // noise model, split across stochastic error trajectories.
@@ -116,7 +117,9 @@ VqeResult VqeDriver::run() const {
       const Circuit noisy = noise_trajectory(logical, opt_.noise, rng);
       std::vector<std::uint64_t> s;
       if (use_mps) {
-        MpsSimulator sim(nq, opt_.max_bond);
+        if (!mps) mps.emplace(nq, opt_.max_bond);
+        MpsSimulator& sim = *mps;
+        sim.reset();
         sim.apply(noisy);
         if (sim.truncation_weight() > opt_.max_truncation_weight) {
           throw TransientDeviceError(

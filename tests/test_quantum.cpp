@@ -10,7 +10,9 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "quantum/ansatz.h"
 #include "quantum/circuit.h"
 #include "quantum/gate.h"
@@ -463,11 +465,47 @@ TEST(MpsGolden, SampleDrawsAndRngPositionAreBitStable) {
   EXPECT_EQ(shots_digest(small), "2ee843c0759b841a");
   EXPECT_EQ(small.front(), 2179737u);
   EXPECT_EQ(hex_bits(draws.uniform()), "3fd6e23f0fe17a6a");
-  // Broad enough that the distinct prefixes of 20000 shots outgrow any
-  // bounded prefix memo: the tail of this run is sampled without storing.
+  // Broad enough that the distinct prefixes of 20000 shots outgrow the
+  // sampler's prefix tree: the tail of this run is sampled without storing.
+  obs::Counter& computed = obs::counter("quantum.mps.sample_steps.computed");
+  const std::uint64_t computed_before = computed.value();
   const auto large = mps.sample(20000, draws);
   EXPECT_EQ(shots_digest(large), "dce5306ff9a62ef1");
   EXPECT_EQ(hex_bits(draws.uniform()), "3fd3155488eefb9e");
+  // A stored expansion holds two conditional vectors of at least 16 bytes,
+  // so no tree within the bound stores more than kSampleMemoBytes / 32.
+  EXPECT_GT(computed.value() - computed_before, MpsSimulator::kSampleMemoBytes / 32);
+}
+
+// The sampler expands each distinct measured prefix once per sample() call
+// and walks the stored ones: on a GHZ state the two branches are expanded
+// along their whole length and every other step is reused.
+TEST(MpsSample, PrefixTreeCountersReachTheRegistryScrape) {
+  const int nq = 10;
+  Circuit c(nq);
+  c.h(0);
+  for (int q = 0; q + 1 < nq; ++q) c.cx(q, q + 1);
+  MpsSimulator mps(nq);
+  mps.apply(c);
+  obs::Counter& computed = obs::counter("quantum.mps.sample_steps.computed");
+  obs::Counter& reused = obs::counter("quantum.mps.sample_steps.reused");
+  const std::uint64_t computed_before = computed.value();
+  const std::uint64_t reused_before = reused.value();
+  Rng rng(3);
+  const auto shots = mps.sample(500, rng);
+  ASSERT_EQ(shots.size(), 500u);
+  EXPECT_EQ(computed.value() - computed_before, 1u + 2u * (nq - 1));
+  EXPECT_EQ(reused.value() - reused_before, 500u * nq - (1u + 2u * (nq - 1)));
+
+  auto& registry = obs::MetricRegistry::global();
+  const Json counters = registry.to_json().at("counters");
+  EXPECT_TRUE(counters.contains("quantum.mps.sample_steps.computed"));
+  EXPECT_TRUE(counters.contains("quantum.mps.sample_steps.reused"));
+  const std::string prom = registry.to_prometheus();
+  EXPECT_NE(prom.find("# TYPE qdb_quantum_mps_sample_steps_computed counter"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE qdb_quantum_mps_sample_steps_reused counter"),
+            std::string::npos);
 }
 
 // Deep random circuit with non-adjacent gates under a tight bond cap: SWAP
