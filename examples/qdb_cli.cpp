@@ -568,7 +568,10 @@ int cmd_coordinate(int argc, char** argv) {
   g_stop = 0;
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
-  while (!g_stop && !coordinator.drained()) {
+  // Keep serving after the drain until every worker has been told so
+  // (bounded by one lease TTL): a worker refused mid-poll would exit as if
+  // the coordinator were unreachable.
+  while (!g_stop && !coordinator.released()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   server.stop();

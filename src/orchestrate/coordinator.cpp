@@ -188,6 +188,7 @@ Coordinator::Coordinator(std::vector<const DatasetEntry*> entries,
   } else {
     for (std::size_t i = 0; i < jobs_.size(); ++i) queue_.push_back(i);
   }
+  note_drain_locked(clock_->now_ms());
 }
 
 void Coordinator::load_journal(const Json& doc) {
@@ -293,7 +294,10 @@ void Coordinator::sweep_expired_locked(std::uint64_t now_ms) {
     }
     changed = true;
   }
-  if (changed) journal_locked();
+  if (changed) {
+    journal_locked();
+    note_drain_locked(now_ms);
+  }
 }
 
 LeaseGrant Coordinator::grant_locked(const std::string& worker_id,
@@ -363,6 +367,8 @@ LeaseGrant Coordinator::lease(const std::string& worker_id) {
   const std::uint64_t now = clock_->now_ms();
   sweep_expired_locked(now);
   LeaseGrant grant = grant_locked(worker_id, now);
+  bool& told = told_drained_[worker_id];
+  told = told || grant.state == LeaseGrant::State::Drained;
   if (grant.state == LeaseGrant::State::Granted) {
     span.set_attr("pdb_id", grant.pdb_id);
     span.set_attr("worker", worker_id);
@@ -462,15 +468,34 @@ CompleteResult Coordinator::complete(const std::string& pdb_id,
   ++counters_.completions;
   obs::counter("orchestrate.completions").add();
   journal_locked();
+  note_drain_locked(clock_->now_ms());
   return result;
 }
 
-bool Coordinator::drained() const {
-  const MutexLock lock(mu_);
+bool Coordinator::drained_locked() const {
   for (const JobSnapshot& job : jobs_) {
     if (job.state == JobState::Pending || job.state == JobState::Leased) {
       return false;
     }
+  }
+  return true;
+}
+
+void Coordinator::note_drain_locked(std::uint64_t now_ms) {
+  if (!drained_at_ms_ && drained_locked()) drained_at_ms_ = now_ms;
+}
+
+bool Coordinator::drained() const {
+  const MutexLock lock(mu_);
+  return drained_locked();
+}
+
+bool Coordinator::released() const {
+  const MutexLock lock(mu_);
+  if (!drained_at_ms_) return false;
+  for (const auto& [worker, told] : told_drained_) {
+    (void)worker;
+    if (!told) return clock_->now_ms() >= *drained_at_ms_ + options_.lease_ttl_ms;
   }
   return true;
 }

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -164,6 +165,14 @@ class Coordinator {
   /// True once every job is Done or Failed.
   bool drained() const QDB_EXCLUDES(mu_);
 
+  /// True once drained() and the control plane may stop serving: every
+  /// worker id that ever called lease() has been answered Drained, or one
+  /// lease TTL has passed on the clock since the drain (a worker that died
+  /// never asks again).  Stopping at drained() alone refuses a worker whose
+  /// next lease request arrives after the drain, and that worker then exits
+  /// as if the coordinator were unreachable.
+  bool released() const QDB_EXCLUDES(mu_);
+
   /// Exact scheduling accounting for GET /jobs/status.
   Json status_json() const QDB_EXCLUDES(mu_);
 
@@ -186,6 +195,9 @@ class Coordinator {
   LeaseGrant grant_locked(const std::string& worker_id, std::uint64_t now_ms)
       QDB_REQUIRES(mu_);
   void journal_locked() QDB_REQUIRES(mu_);
+  bool drained_locked() const QDB_REQUIRES(mu_);
+  /// Stamp the drain time on the transition into drained().
+  void note_drain_locked(std::uint64_t now_ms) QDB_REQUIRES(mu_);
   void load_journal(const Json& doc) QDB_REQUIRES(mu_);
 
   CoordinatorOptions options_;   // immutable after construction
@@ -198,6 +210,9 @@ class Coordinator {
   std::deque<std::size_t> queue_ QDB_GUARDED_BY(mu_);  // Pending job indices, FIFO
   CoordinatorCounters counters_ QDB_GUARDED_BY(mu_);
   std::uint64_t next_token_ QDB_GUARDED_BY(mu_) = 1;
+  /// Worker ids that called lease(), and whether each has been told Drained.
+  std::unordered_map<std::string, bool> told_drained_ QDB_GUARDED_BY(mu_);
+  std::optional<std::uint64_t> drained_at_ms_ QDB_GUARDED_BY(mu_);
 };
 
 // --- journal round-trip (exposed for the lease-state round-trip tests) ------

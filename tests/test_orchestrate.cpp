@@ -89,6 +89,60 @@ void expect_reports_byte_identical(const BatchReport& a, const BatchReport& b,
 
 // --- lease state machine on a manual clock ----------------------------------
 
+// The control plane stays up after the drain until every worker that ever
+// polled has been answered Drained, so no worker is refused mid-poll.
+TEST(Coordinator, ReleasedOnlyAfterEveryLesseeIsToldDrained) {
+  InjectorGuard guard;
+  ManualClock clock(1000);
+  CoordinatorOptions copt;
+  copt.batch = account_options();
+  copt.lease_ttl_ms = 500;
+  copt.clock = &clock;
+  const auto entries = first_s_entries(1);
+  Coordinator coord(entries, copt);
+  EXPECT_FALSE(coord.released());
+
+  const LeaseGrant g1 = coord.lease("w1");
+  ASSERT_EQ(g1.state, LeaseGrant::State::Granted);
+  EXPECT_EQ(coord.lease("w2").state, LeaseGrant::State::Wait);
+  EXPECT_TRUE(coord.complete(g1.pdb_id, g1.lease_token,
+                             run_batch_job(*entries[0], copt.batch))
+                  .accepted);
+  EXPECT_TRUE(coord.drained());
+  EXPECT_FALSE(coord.released());  // neither worker has heard yet
+
+  EXPECT_EQ(coord.lease("w1").state, LeaseGrant::State::Drained);
+  EXPECT_FALSE(coord.released());  // w2 polled earlier and will poll again
+  EXPECT_EQ(coord.lease("w2").state, LeaseGrant::State::Drained);
+  EXPECT_TRUE(coord.released());
+}
+
+// A worker that died never polls again: the wait for it is bounded by one
+// lease TTL from the drain, on the coordinator's clock.
+TEST(Coordinator, ReleaseWaitsAtMostOneLeaseTtlForSilentWorkers) {
+  InjectorGuard guard;
+  ManualClock clock(1000);
+  CoordinatorOptions copt;
+  copt.batch = account_options();
+  copt.lease_ttl_ms = 500;
+  copt.clock = &clock;
+  const auto entries = first_s_entries(1);
+  Coordinator coord(entries, copt);
+
+  const LeaseGrant g1 = coord.lease("w1");
+  ASSERT_EQ(g1.state, LeaseGrant::State::Granted);
+  EXPECT_EQ(coord.lease("ghost").state, LeaseGrant::State::Wait);
+  clock.advance(100);
+  ASSERT_TRUE(coord.complete(g1.pdb_id, g1.lease_token,
+                             run_batch_job(*entries[0], copt.batch))
+                  .accepted);  // drained at t = 1100
+  EXPECT_EQ(coord.lease("w1").state, LeaseGrant::State::Drained);
+  clock.advance(499);
+  EXPECT_FALSE(coord.released());
+  clock.advance(1);
+  EXPECT_TRUE(coord.released());
+}
+
 TEST(Coordinator, LeaseLifecycleGrantHeartbeatComplete) {
   InjectorGuard guard;
   ManualClock clock(1000);
