@@ -515,7 +515,8 @@ TEST_F(TraceTest, SpansWithoutAnyContextCarryNoIds) {
   ASSERT_EQ(session.events().size(), 1u);
   EXPECT_EQ(session.events()[0].span_id, 0u);
   EXPECT_EQ(session.events()[0].trace_hi | session.events()[0].trace_lo, 0u);
-  const Json& ev = session.to_chrome_json().at("traceEvents").as_array()[0];
+  const Json doc = session.to_chrome_json();
+  const Json& ev = doc.at("traceEvents").as_array()[0];
   EXPECT_FALSE(ev.contains("trace"));
   EXPECT_FALSE(ev.contains("span"));
   EXPECT_FALSE(ev.contains("parent"));
