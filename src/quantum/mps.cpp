@@ -485,31 +485,31 @@ std::vector<std::uint64_t> MpsSimulator::sample(std::size_t shots, Rng& rng) con
         cand[1] = pool.data() + nodes[nd.child[1]].vec;
       } else {
         ++computed;
+        // Store the expansion while the tree has room; once it is full (or
+        // this shot has left it), expand in scratch.
+        const std::size_t at = pool.size();
+        in_tree = in_tree && nodes.size() + 2 <= kNodes && at + 2 * chi_r <= kPool;
         cplx* dst;
-        if (in_tree && nodes.size() + 2 <= kNodes && pool.size() + 2 * chi_r <= kPool) {
-          const std::size_t at = pool.size();
+        if (in_tree) {
           pool.resize(at + 2 * chi_r);
           dst = pool.data() + at;
-          expand_prefix(s.data.data(), static_cast<std::size_t>(s.chi_l), chi_r, vec, right,
-                        dst, prob);
+        } else {
+          dst = ws_.scratch.data() + pair * 2 * max_chi;
+          pair ^= 1;
+        }
+        expand_prefix(s.data.data(), static_cast<std::size_t>(s.chi_l), chi_r, vec, right,
+                      dst, prob);
+        if (in_tree) {
           SampleNode& nd = nodes[node];
           nd.prob[0] = prob[0];
           nd.prob[1] = prob[1];
-          for (std::size_t p = 0; p < 2; ++p) {
-            nd.child[p] = static_cast<std::uint32_t>(nodes.size() + p);
-          }
+          nd.child[0] = static_cast<std::uint32_t>(nodes.size());
+          nd.child[1] = static_cast<std::uint32_t>(nodes.size() + 1);
           SampleNode child;
           child.vec = static_cast<std::uint32_t>(at);
           nodes.push_back(child);
           child.vec = static_cast<std::uint32_t>(at + chi_r);
           nodes.push_back(child);
-        } else {
-          // Tree full (or this prefix was never stored): expand in scratch.
-          in_tree = false;
-          dst = ws_.scratch.data() + pair * 2 * max_chi;
-          pair ^= 1;
-          expand_prefix(s.data.data(), static_cast<std::size_t>(s.chi_l), chi_r, vec, right,
-                        dst, prob);
         }
         cand[0] = dst;
         cand[1] = dst + chi_r;
